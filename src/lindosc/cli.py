@@ -2,15 +2,14 @@
 
 Scenario configuration is a flat JSON document with oscillator, diffusion,
 initial-state, times and output blocks; command-line flags override file
-values.  All commands emit deterministic CSV or JSON with floats at 17
-significant digits.  Exit codes: 0 success, 1 validation failure, 2
-numerical-consistency failure.
+values.  All commands emit deterministic CSV (floats at 17 significant
+digits) or JSON (floats as their shortest round-trip repr).  Exit codes: 0
+success, 1 validation failure, 2 numerical-consistency failure.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import itertools
 import json
 import math
 import sys
@@ -42,16 +41,6 @@ class ConfigError(ValueError):
     """Malformed or inconsistent scenario configuration."""
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return format(value, ".17g")
-    return str(value)
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -69,8 +58,18 @@ def _complex_from(value) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(value[0], value[1])
+        return complex(*(_finite(v, "complex component") for v in value))
     raise ConfigError(f"expected number or [re, im] pair, got {value!r}")
+
+
+def _finite(value, key: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
 
 
 def build_oscillator(cfg: dict, hbar_override: float | None = None) -> OscillatorSpec:
@@ -115,10 +114,14 @@ def build_diffusion(cfg: dict, osc: OscillatorSpec) -> tuple[DiffusionSpec, floa
             return model.preset_pure_state(osc), None
         raise ConfigError(f"unknown diffusion preset {preset!r}")
     if has_ops:
+        entries = block["ops"]
+        if not isinstance(entries, list) or not all(
+            isinstance(entry, dict) and "a" in entry and "b" in entry for entry in entries
+        ):
+            raise ConfigError("diffusion.ops must be a list of objects with keys 'a' and 'b'")
         ops = LindbladOps(
             ops=tuple(
-                (_complex_from(entry["a"]), _complex_from(entry["b"]))
-                for entry in block["ops"]
+                (_complex_from(entry["a"]), _complex_from(entry["b"])) for entry in entries
             )
         )
         diff, lam = model.coefficients_from_ops(ops, osc.units)
@@ -188,15 +191,21 @@ def build_times(cfg: dict) -> list[float]:
     if not isinstance(block, dict):
         raise ConfigError("missing 'times' block")
     if "list" in block:
-        times = [float(t) for t in block["list"]]
+        if not isinstance(block["list"], list):
+            raise ConfigError("times.list must be a list of numbers")
+        times = [_finite(t, "times.list") for t in block["list"]]
     else:
         try:
-            n = int(block["n_samples"])
-            if n < 1:
-                raise ConfigError("n_samples must be >= 1")
-            times = list(np.linspace(block["t_start"], block["t_end"], n))
+            raw_n, start, end = block["n_samples"], block["t_start"], block["t_end"]
         except KeyError as exc:
             raise ConfigError(f"times block missing key {exc}") from exc
+        try:
+            n = int(raw_n)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"times.n_samples must be an integer, got {raw_n!r}") from None
+        if n < 1:
+            raise ConfigError("n_samples must be >= 1")
+        times = list(np.linspace(_finite(start, "times.t_start"), _finite(end, "times.t_end"), n))
     if any(t < 0 for t in times):
         raise ConfigError("times must be >= 0")
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -213,36 +222,30 @@ def _window(cfg: dict, osc: OscillatorSpec, args) -> CoherentWindow:
     return CoherentWindow.squeezed(s_qq, hbar=osc.hbar)
 
 
-def _py(value):
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
+def _emit(args, cfg: dict, header: list[str], columns: list, comments: list[str] | None = None) -> None:
+    """Write one row per index of `columns`, one column per header field.
 
-
-def _emit(args, cfg: dict, header: list[str], rows: list[list], comments: list[str] | None = None) -> None:
+    Columns are numpy arrays or lists of numbers, bools or strings.  CSV
+    prints numbers with 17 significant digits and bools as true/false; JSON
+    prints NaN as null.
+    """
     out_block = cfg.get("output", {})
     fmt = args.format or out_block.get("format", "csv")
     path = args.out or out_block.get("path")
-    rows = [[_py(v) for v in row] for row in rows]
+    columns = [np.asarray(c) for c in columns]
     if fmt == "csv":
-        buf = io.StringIO()
-        for line in comments or []:
-            buf.write(f"# {line}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        text = buf.getvalue()
+        template = ",".join("%.17g" if c.dtype.kind in "fiu" else "%s" for c in columns) + "\n"
+        lists = [(np.where(c, "true", "false") if c.dtype == bool else c).tolist()
+                 for c in columns]
+        n_rows = len(lists[0]) if lists else 0
+        body = (template * n_rows) % tuple(itertools.chain.from_iterable(zip(*lists)))
+        text = "".join(f"# {line}\n" for line in comments or []) + ",".join(header) + "\n" + body
     elif fmt == "json":
-        clean = [
-            [None if isinstance(v, float) and math.isnan(v) else v for v in row]
-            for row in rows
-        ]
-        payload = {"rows": [dict(zip(header, row)) for row in clean]}
+        rows = zip(*(
+            (np.where(np.isnan(c), None, c) if c.dtype.kind == "f" else c).tolist()
+            for c in columns
+        ))
+        payload = {"rows": [dict(zip(header, row)) for row in rows]}
         if comments:
             payload["metadata"] = comments
         text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
@@ -279,7 +282,7 @@ def cmd_validate(args) -> int:
     report = model.validate(diff, osc)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
-        print(f"constraint {check.name}: {status} (margin={_fmt(float(check.margin))})")
+        print(f"constraint {check.name}: {status} (margin={check.margin:.17g})")
     return 0 if report.all_passed else 1
 
 
@@ -302,7 +305,7 @@ def cmd_evolve(args) -> int:
             osc, state, diff=diff, window=window, thermal_temperature=temp
         )
         rows.append(_run_row(state.t, state, scalars, osc))
-    _emit(args, cfg, list(RUN_COLUMNS), rows)
+    _emit(args, cfg, list(RUN_COLUMNS), list(zip(*rows)))
     return 0
 
 
@@ -314,7 +317,7 @@ def cmd_steady(args) -> int:
         osc, state, diff=diff, window=window, thermal_temperature=temp
     )
     row = _run_row("inf", state, scalars, osc)
-    _emit(args, cfg, list(RUN_COLUMNS), [row])
+    _emit(args, cfg, list(RUN_COLUMNS), [[v] for v in row])
     return 0
 
 
@@ -346,13 +349,9 @@ def cmd_husimi_grid(args) -> int:
 
 
 def _emit_grid(args, cfg, grid: phasespace.PhaseSpaceGrid) -> None:
-    comments = [f"measure={grid.measure}"]
-    rows = [
-        [q, p, grid.values[i, j]]
-        for i, q in enumerate(grid.q_axis)
-        for j, p in enumerate(grid.p_axis)
-    ]
-    _emit(args, cfg, ["q", "p", "value"], rows, comments=comments)
+    q = np.repeat(grid.q_axis, grid.n_p)
+    p = np.tile(grid.p_axis, grid.n_q)
+    _emit(args, cfg, ["q", "p", "value"], [q, p, grid.values.ravel()], [f"measure={grid.measure}"])
 
 
 def cmd_kernel(args) -> int:
@@ -360,12 +359,9 @@ def cmd_kernel(args) -> int:
     state = _state_at(osc, diff, state0, args.time)
     half = args.width_sigmas * math.sqrt(state.sigma_qq)
     axis = np.linspace(state.sigma_q - half, state.sigma_q + half, args.n_x)
-    rows = []
-    for x in axis:
-        for y in axis:
-            value = phasespace.density_kernel_at(state, x, y, hbar=osc.hbar)
-            rows.append([float(x), float(y), value.real, value.imag])
-    _emit(args, cfg, ["x", "y", "re", "im"], rows)
+    x, y = np.repeat(axis, args.n_x), np.tile(axis, args.n_x)
+    value = phasespace.density_kernel_at(state, x, y, hbar=osc.hbar)
+    _emit(args, cfg, ["x", "y", "re", "im"], [x, y, value.real, value.imag])
     return 0
 
 
@@ -380,13 +376,11 @@ def cmd_purity_scan(args) -> int:
     header = ["t", "sigma", "gamma", "r", "is_pure", "preserving"] + [
         f"res_{n}" for n in residual_names
     ]
-    rows = []
-    for rep in reports:
-        rows.append(
-            [rep.t, rep.sigma_det, rep.gamma, rep.r, rep.is_pure, rep.preserving]
-            + [rep.conditions.get(n, math.nan) for n in residual_names]
-        )
-    _emit(args, cfg, header, rows)
+    fields = ("t", "sigma_det", "gamma", "r", "is_pure", "preserving")
+    columns = [[getattr(rep, f) for rep in reports] for f in fields] + [
+        [rep.conditions.get(n, math.nan) for rep in reports] for n in residual_names
+    ]
+    _emit(args, cfg, header, columns)
     return 0
 
 

@@ -337,3 +337,55 @@ def test_selftest_passes():
 def test_selftest_seed_flag():
     proc = run_cli("selftest", "--seed", "7")
     assert proc.returncode == 0, proc.stdout
+
+
+
+def _bad_times(**times):
+    conf = gibbs_config()
+    conf["times"] = times
+    return conf
+
+
+def _bad_ops(ops):
+    conf = gibbs_config()
+    conf["diffusion"] = {"ops": ops}
+    return conf
+
+
+# name -> (config, text the error line names, output format)
+BAD_INPUTS = {
+    "times-list-infinity": (_bad_times(list=[0.0, math.inf]), "times.list", "csv"),
+    "times-list-infinity-json": (_bad_times(list=[0.0, math.inf]), "times.list", "json"),
+    "times-list-nan": (_bad_times(list=[0.0, math.nan]), "times.list", "csv"),
+    "times-list-text": (_bad_times(list=[0.0, "abc"]), "times.list", "csv"),
+    "times-list-not-a-list": (_bad_times(list=5), "times.list", "csv"),
+    "times-n-samples-text": (
+        _bad_times(t_start=0.0, t_end=1.0, n_samples="abc"), "times.n_samples", "csv"
+    ),
+    "times-n-samples-infinity": (
+        _bad_times(t_start=0.0, t_end=1.0, n_samples=math.inf), "times.n_samples", "json"
+    ),
+    "times-t-end-infinity": (
+        _bad_times(t_start=0.0, t_end=math.inf, n_samples=3), "times.t_end", "json"
+    ),
+    "ops-missing-b": (_bad_ops([{"a": [0.0, 0.5]}]), "diffusion.ops", "csv"),
+    "ops-entry-not-object": (_bad_ops([[0.0, 0.5]]), "diffusion.ops", "csv"),
+    "ops-not-a-list": (
+        _bad_ops({"a": [0.0, 0.5], "b": [1.0, 0.0]}), "diffusion.ops", "csv"
+    ),
+    "ops-text-coefficient": (
+        _bad_ops([{"a": [0.0, "x"], "b": [1.0, 0.0]}]), "complex component", "csv"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_one_with_one_line(tmp_path, name):
+    conf, key, fmt = BAD_INPUTS[name]
+    cfg = write_config(tmp_path, conf)
+    proc = run_cli("evolve", "--config", cfg, "--format", fmt)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ") and key in proc.stderr
