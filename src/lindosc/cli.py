@@ -55,18 +55,21 @@ def _load_config(path: str) -> dict:
 
 
 def _complex_from(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(*(_finite(v, "complex component") for v in value))
+    if isinstance(value, (int, float)):
+        return complex(_finite(value, "complex value"))
     raise ConfigError(f"expected number or [re, im] pair, got {value!r}")
 
 
 def _finite(value, key: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
+    """`value` as a float; strings, bools and non-finite numbers are rejected."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
     if not math.isfinite(number):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return number
@@ -199,10 +202,10 @@ def build_times(cfg: dict) -> list[float]:
             raw_n, start, end = block["n_samples"], block["t_start"], block["t_end"]
         except KeyError as exc:
             raise ConfigError(f"times block missing key {exc}") from exc
-        try:
-            n = int(raw_n)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"times.n_samples must be an integer, got {raw_n!r}") from None
+        integral = isinstance(raw_n, int) or (isinstance(raw_n, float) and raw_n.is_integer())
+        if isinstance(raw_n, bool) or not integral:
+            raise ConfigError(f"times.n_samples must be an integer, got {raw_n!r}")
+        n = int(raw_n)
         if n < 1:
             raise ConfigError("n_samples must be >= 1")
         times = list(np.linspace(_finite(start, "times.t_start"), _finite(end, "times.t_end"), n))
@@ -222,28 +225,43 @@ def _window(cfg: dict, osc: OscillatorSpec, args) -> CoherentWindow:
     return CoherentWindow.squeezed(s_qq, hbar=osc.hbar)
 
 
-def _emit(args, cfg: dict, header: list[str], columns: list, comments: list[str] | None = None) -> None:
-    """Write one row per index of `columns`, one column per header field.
+def _emit(args, cfg: dict, header: list[str], columns: list,
+          comments: list[str] | None = None, axes: tuple = ()) -> None:
+    """Write one row per point, one field per header entry.
 
-    Columns are numpy arrays or lists of numbers, bools or strings.  CSV
-    prints numbers with 17 significant digits and bools as true/false; JSON
+    `axes` is empty or two numpy arrays, the outer and inner axis of a grid;
+    they give the first two fields of each row and `columns` the rest.
+    Columns are numpy arrays or lists of numbers, bools or strings with one
+    value per row; a 2-D array is read in row-major order, so point (i, j)
+    of a grid is index i * len(axes[1]) + j.  CSV prints numbers with 17
+    significant digits and bools as true/false.  It formats each axis value
+    once and fills one outer-axis block at a time; without axes the body is
+    one block with an empty prefix.  JSON expands the axes into columns and
     prints NaN as null.
     """
     out_block = cfg.get("output", {})
     fmt = args.format or out_block.get("format", "csv")
     path = args.out or out_block.get("path")
-    columns = [np.asarray(c) for c in columns]
+    columns = [np.ravel(c) for c in columns]
     if fmt == "csv":
         template = ",".join("%.17g" if c.dtype.kind in "fiu" else "%s" for c in columns) + "\n"
-        lists = [(np.where(c, "true", "false") if c.dtype == bool else c).tolist()
-                 for c in columns]
-        n_rows = len(lists[0]) if lists else 0
-        body = (template * n_rows) % tuple(itertools.chain.from_iterable(zip(*lists)))
+        columns = [np.where(c, "true", "false") if c.dtype == bool else c for c in columns]
+        cells = [["%.17g," % v for v in axis.tolist()] for axis in axes]
+        outer, inner = cells or ([""], [""] * len(columns[0]))
+        block = [cell + template for cell in inner]
+        n = len(block)
+        body = "".join(
+            (prefix + prefix.join(block)) % tuple(itertools.chain.from_iterable(
+                zip(*(c[i * n:(i + 1) * n].tolist() for c in columns))
+            ))
+            for i, prefix in enumerate(outer)
+        )
         text = "".join(f"# {line}\n" for line in comments or []) + ",".join(header) + "\n" + body
     elif fmt == "json":
+        points = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
         rows = zip(*(
             (np.where(np.isnan(c), None, c) if c.dtype.kind == "f" else c).tolist()
-            for c in columns
+            for c in points + columns
         ))
         payload = {"rows": [dict(zip(header, row)) for row in rows]}
         if comments:
@@ -305,7 +323,7 @@ def cmd_evolve(args) -> int:
             osc, state, diff=diff, window=window, thermal_temperature=temp
         )
         rows.append(_run_row(state.t, state, scalars, osc))
-    _emit(args, cfg, list(RUN_COLUMNS), list(zip(*rows)))
+    _emit(args, cfg, list(RUN_COLUMNS), list(zip(*rows)) or [[]] * len(RUN_COLUMNS))
     return 0
 
 
@@ -321,6 +339,18 @@ def cmd_steady(args) -> int:
     return 0
 
 
+def _check_grid_flags(args) -> None:
+    """Reject --time, --width-sigmas and grid sizes outside their domains."""
+    if not (math.isfinite(args.time) and args.time >= 0):
+        raise ConfigError(f"--time must be finite and >= 0, got {args.time!r}")
+    if not (math.isfinite(args.width_sigmas) and args.width_sigmas > 0):
+        raise ConfigError(f"--width-sigmas must be finite and > 0, got {args.width_sigmas!r}")
+    for name in ("n_q", "n_p", "n_x"):
+        size = getattr(args, name, 2)
+        if size < 2:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= 2, got {size}")
+
+
 def _state_at(osc, diff, state0, t: float) -> GaussianState:
     if t == 0:
         return state0
@@ -328,6 +358,7 @@ def _state_at(osc, diff, state0, t: float) -> GaussianState:
 
 
 def cmd_wigner_grid(args) -> int:
+    _check_grid_flags(args)
     cfg, osc, diff, _, state0 = _scenario(args)
     state = _state_at(osc, diff, state0, args.time)
     grid = phasespace.wigner_grid(
@@ -338,6 +369,7 @@ def cmd_wigner_grid(args) -> int:
 
 
 def cmd_husimi_grid(args) -> int:
+    _check_grid_flags(args)
     cfg, osc, diff, _, state0 = _scenario(args)
     state = _state_at(osc, diff, state0, args.time)
     window = _window(cfg, osc, args)
@@ -349,19 +381,18 @@ def cmd_husimi_grid(args) -> int:
 
 
 def _emit_grid(args, cfg, grid: phasespace.PhaseSpaceGrid) -> None:
-    q = np.repeat(grid.q_axis, grid.n_p)
-    p = np.tile(grid.p_axis, grid.n_q)
-    _emit(args, cfg, ["q", "p", "value"], [q, p, grid.values.ravel()], [f"measure={grid.measure}"])
+    _emit(args, cfg, ["q", "p", "value"], [grid.values], [f"measure={grid.measure}"],
+          axes=(grid.q_axis, grid.p_axis))
 
 
 def cmd_kernel(args) -> int:
+    _check_grid_flags(args)
     cfg, osc, diff, _, state0 = _scenario(args)
     state = _state_at(osc, diff, state0, args.time)
     half = args.width_sigmas * math.sqrt(state.sigma_qq)
     axis = np.linspace(state.sigma_q - half, state.sigma_q + half, args.n_x)
-    x, y = np.repeat(axis, args.n_x), np.tile(axis, args.n_x)
-    value = phasespace.density_kernel_at(state, x, y, hbar=osc.hbar)
-    _emit(args, cfg, ["x", "y", "re", "im"], [x, y, value.real, value.imag])
+    value = phasespace.density_kernel_at(state, axis[:, None], axis[None, :], hbar=osc.hbar)
+    _emit(args, cfg, ["x", "y", "re", "im"], [value.real, value.imag], axes=(axis, axis))
     return 0
 
 
@@ -508,17 +539,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ConfigError, ParameterError, InvalidStateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConsistencyError as exc:
-        print(f"numerical-consistency error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (ConfigError, ParameterError, InvalidStateError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except ConsistencyError as exc:
+            print(f"numerical-consistency error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

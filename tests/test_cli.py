@@ -1,4 +1,6 @@
+import argparse
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -7,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from lindosc import OscillatorSpec, preset_gibbs, steady_state
+from lindosc import OscillatorSpec, cli, preset_gibbs, steady_state
 from lindosc.entropy import von_neumann_entropy
 
 
@@ -376,6 +378,23 @@ BAD_INPUTS = {
     "ops-text-coefficient": (
         _bad_ops([{"a": [0.0, "x"], "b": [1.0, 0.0]}]), "complex component", "csv"
     ),
+    "ops-bool-coefficient": (
+        _bad_ops([{"a": [0.0, True], "b": [1.0, 0.0]}]), "complex component", "csv"
+    ),
+    "alpha-bool": (
+        gibbs_config(initial_state={"kind": "coherent", "alpha": True}), "complex value", "csv"
+    ),
+    "times-list-numeric-text": (_bad_times(list=["0.5", 1]), "times.list", "csv"),
+    "times-list-bool": (_bad_times(list=[True]), "times.list", "json"),
+    "times-t-start-text": (
+        _bad_times(t_start="0", t_end=1.0, n_samples=3), "times.t_start", "csv"
+    ),
+    "times-n-samples-fraction": (
+        _bad_times(t_start=0.0, t_end=1.0, n_samples=2.7), "times.n_samples", "csv"
+    ),
+    "times-n-samples-bool": (
+        _bad_times(t_start=0.0, t_end=1.0, n_samples=True), "times.n_samples", "csv"
+    ),
 }
 
 
@@ -389,3 +408,91 @@ def test_bad_input_exits_one_with_one_line(tmp_path, name):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ") and key in proc.stderr
+
+
+def test_integral_float_n_samples_accepted(tmp_path):
+    cfg = write_config(tmp_path, _bad_times(t_start=0.0, t_end=1.0, n_samples=3.0))
+    proc = run_cli("evolve", "--config", cfg)
+    assert proc.returncode == 0, proc.stderr
+    _, rows = parse_csv(proc.stdout)
+    assert [float(r["t"]) for r in rows] == [0.0, 0.5, 1.0]
+
+
+# name -> (command and flags, flag the error line names)
+BAD_FLAGS = {
+    "kernel-n-x-negative": (["kernel", "--n-x", "-1"], "--n-x"),
+    "kernel-n-x-zero": (["kernel", "--n-x", "0"], "--n-x"),
+    "kernel-n-x-one": (["kernel", "--n-x", "1"], "--n-x"),
+    "kernel-time-negative": (["kernel", "--time", "-1"], "--time"),
+    "kernel-width-zero": (["kernel", "--width-sigmas", "0"], "--width-sigmas"),
+    "wigner-time-infinity": (["wigner-grid", "--time", "inf"], "--time"),
+    "wigner-time-nan": (["wigner-grid", "--time", "nan"], "--time"),
+    "wigner-n-q-zero": (["wigner-grid", "--n-q", "0"], "--n-q"),
+    "husimi-n-p-one": (["husimi-grid", "--n-p", "1"], "--n-p"),
+    "husimi-width-infinity": (["husimi-grid", "--width-sigmas", "inf"], "--width-sigmas"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FLAGS))
+def test_bad_grid_flag_exits_one_with_one_line(tmp_path, name):
+    argv, flag = BAD_FLAGS[name]
+    cfg = write_config(tmp_path, gibbs_config())
+    proc = run_cli(argv[0], "--config", cfg, *argv[1:])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ") and flag in proc.stderr
+
+
+def test_weak_coupling_warning_is_one_line(tmp_path):
+    conf = {
+        "oscillator": {"m": 1.0, "omega": 1.0, "lambda": 1.5, "mu": 0.1},
+        "diffusion": {"preset": "gibbs", "temperature": 1.5},
+        "initial_state": {"kind": "coherent", "alpha": [1.0, 0.5]},
+        "times": {"list": [0.0, 0.5, 2.0]},
+    }
+    proc = run_cli("evolve", "--config", write_config(tmp_path, conf))
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == [
+        "warning: weak-coupling assumption strained: lam=1.5 >= omega=1.0"
+    ]
+    data = proc.stdout.encode("utf-8")
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+        "cf0b45ce076f5e0b0844dc0bdac7136873b17f94a9efff33e7c60eca75452349", 915
+    )
+
+
+@pytest.mark.parametrize("command,header", [
+    ("evolve", ",".join(cli.RUN_COLUMNS)),
+    ("purity-scan", "t,sigma,gamma,r,is_pure,preserving,res_diffusion_determinant,"
+     "res_mixed_balance,res_cross_balance,res_constant_sigma_qq,res_constant_sigma_pp,"
+     "res_constant_sigma_pq"),
+])
+def test_empty_times_list_emits_no_rows(tmp_path, command, header):
+    cfg = write_config(tmp_path, _bad_times(list=[]))
+    proc = run_cli(command, "--config", cfg)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, header + "\n", "")
+    proc = run_cli(command, "--config", cfg, "--format", "json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"rows": []}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_axes_match_expanded_columns(capsys, fmt):
+    q = np.array([-1.5, -0.0, 0.0, 1e-300, 2.0 / 3.0])
+    p = np.array([-0.0, 0.1, 7.0])
+    values = np.arange(15, dtype=float).reshape(5, 3) - 7
+    values[1, 2] = math.nan
+    flags = np.arange(15).reshape(5, 3) % 2 == 0
+    args = argparse.Namespace(format=fmt, out=None)
+    header = ["q", "p", "value", "flag"]
+    cli._emit(args, {}, header, [values, flags], ["measure=test"], axes=(q, p))
+    with_axes = capsys.readouterr().out
+    expanded = [np.repeat(q, 3), np.tile(p, 5), values.ravel(), flags.ravel()]
+    cli._emit(args, {}, header, expanded, ["measure=test"])
+    assert with_axes == capsys.readouterr().out
+    if fmt == "csv":
+        assert with_axes.splitlines()[2:5] == [
+            "-1.5,-0,-7,true", "-1.5,0.10000000000000001,-6,false", "-1.5,7,-5,true",
+        ]
