@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Scenario configuration is a flat JSON document with oscillator, diffusion,
-initial-state, times and output blocks; command-line flags override file
-values.  All commands emit deterministic CSV (floats at 17 significant
+initial-state, times, window and output blocks; command-line flags override
+file values.  An invalid value is reported by its dotted key path.  All commands emit deterministic CSV (floats at 17 significant
 digits) or JSON (floats as their shortest round-trip repr).  Exit codes: 0
 success, 1 validation failure, 2 numerical-consistency failure.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -54,50 +55,71 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _complex_from(value) -> complex:
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(*(_finite(v, "complex component") for v in value))
-    if isinstance(value, (int, float)):
-        return complex(_finite(value, "complex value"))
-    raise ConfigError(f"expected number or [re, im] pair, got {value!r}")
+_REQUIRED = object()
+_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
+               list: "a list", dict: "an object"}
 
 
-def _finite(value, key: str) -> float:
-    """`value` as a float; strings, bools and non-finite numbers are rejected."""
-    number = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            pass
-    if not math.isfinite(number):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return number
+def _check(value, path: str, kind: type = float):
+    """`value` as `kind`: float, int, complex, str, list or dict.
+
+    Numbers are finite JSON numbers, never bools or strings; an int may be
+    written as an integral float, and a complex is a number or an [re, im]
+    pair.  Anything else raises ConfigError naming `path`.
+    """
+    if kind is complex:
+        if isinstance(value, list) and len(value) == 2:
+            return complex(*(_check(v, f"{path} complex component") for v in value))
+        return complex(_check(value, f"{path} complex value"))
+    if kind in (float, int):
+        number = math.nan
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            with contextlib.suppress(OverflowError):  # an int beyond the float range
+                number = float(value)
+        if math.isfinite(number) and (kind is float or number.is_integer()):
+            return number if kind is float else int(value)
+    elif isinstance(value, kind):
+        return value
+    raise ConfigError(f"{path} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _get(cfg: dict, path: str, default=_REQUIRED, kind: type = float):
+    """The value at dotted `path` in `cfg`, converted by `_check`.
+
+    Every block on the way must be an object.  An absent key gives `default`,
+    unconverted; without a default it raises ConfigError("missing <path>").
+    """
+    keys = path.split(".")
+    node = cfg
+    for depth, key in enumerate(keys, 1):
+        if key not in node:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing {path}")
+            return default
+        node = node[key]
+        if depth < len(keys):
+            node = _check(node, ".".join(keys[:depth]), dict)
+    return _check(node, path, kind)
 
 
 def build_oscillator(cfg: dict, hbar_override: float | None = None) -> OscillatorSpec:
-    block = cfg.get("oscillator")
-    if not isinstance(block, dict):
-        raise ConfigError("missing 'oscillator' block")
-    hbar = hbar_override if hbar_override is not None else block.get("hbar", 1.0)
-    units = UnitSystem(hbar=hbar, boltzmann=block.get("boltzmann", 1.0))
-    try:
-        return OscillatorSpec(
-            mass=block.get("m", 1.0),
-            omega=block["omega"],
-            lam=block["lambda"],
-            mu=block.get("mu", 0.0),
-            units=units,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"oscillator block missing key {exc}") from exc
+    hbar = _get(cfg, "oscillator.hbar", 1.0)
+    units = UnitSystem(
+        hbar=hbar_override if hbar_override is not None else hbar,
+        boltzmann=_get(cfg, "oscillator.boltzmann", 1.0),
+    )
+    return OscillatorSpec(
+        mass=_get(cfg, "oscillator.m", 1.0),
+        omega=_get(cfg, "oscillator.omega"),
+        lam=_get(cfg, "oscillator.lambda"),
+        mu=_get(cfg, "oscillator.mu", 0.0),
+        units=units,
+    )
 
 
 def build_diffusion(cfg: dict, osc: OscillatorSpec) -> tuple[DiffusionSpec, float | None]:
     """Diffusion coefficients and, for the thermal preset, the bath temperature."""
-    block = cfg.get("diffusion")
-    if not isinstance(block, dict):
-        raise ConfigError("missing 'diffusion' block")
+    block = _get(cfg, "diffusion", kind=dict)
     has_preset = "preset" in block
     has_explicit = any(k in block for k in ("d_qq", "d_pp", "d_pq"))
     has_ops = "ops" in block
@@ -107,26 +129,21 @@ def build_diffusion(cfg: dict, osc: OscillatorSpec) -> tuple[DiffusionSpec, floa
             "coefficients, lindblad ops"
         )
     if has_preset:
-        preset = block["preset"]
+        preset = _get(cfg, "diffusion.preset", kind=str)
         if preset == "gibbs":
-            if "temperature" not in block:
-                raise ConfigError("gibbs preset requires 'temperature'")
-            temp = block["temperature"]
+            temp = _get(cfg, "diffusion.temperature")
             return model.preset_gibbs(osc, temp), temp
         if preset == "pure":
             return model.preset_pure_state(osc), None
         raise ConfigError(f"unknown diffusion preset {preset!r}")
     if has_ops:
-        entries = block["ops"]
-        if not isinstance(entries, list) or not all(
-            isinstance(entry, dict) and "a" in entry and "b" in entry for entry in entries
-        ):
-            raise ConfigError("diffusion.ops must be a list of objects with keys 'a' and 'b'")
-        ops = LindbladOps(
-            ops=tuple(
-                (_complex_from(entry["a"]), _complex_from(entry["b"])) for entry in entries
-            )
-        )
+        entries = _get(cfg, "diffusion.ops", kind=list)
+        # Key each entry by its index so that errors name diffusion.ops[i].a.
+        indexed = {"diffusion": {f"ops[{i}]": entry for i, entry in enumerate(entries)}}
+        ops = LindbladOps(ops=tuple(
+            tuple(_get(indexed, f"diffusion.ops[{i}].{key}", kind=complex) for key in "ab")
+            for i in range(len(entries))
+        ))
         diff, lam = model.coefficients_from_ops(ops, osc.units)
         scale = max(abs(lam), abs(osc.lam), 1e-300)
         if abs(lam - osc.lam) > 1e-9 * scale:
@@ -135,80 +152,48 @@ def build_diffusion(cfg: dict, osc: OscillatorSpec) -> tuple[DiffusionSpec, floa
                 f"oscillator lambda ({osc.lam})"
             )
         return diff, None
-    try:
-        return (
-            DiffusionSpec(
-                d_qq=block["d_qq"], d_pp=block["d_pp"], d_pq=block.get("d_pq", 0.0)
-            ),
-            None,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"diffusion block missing key {exc}") from exc
+    d_qq, d_pp = _get(cfg, "diffusion.d_qq"), _get(cfg, "diffusion.d_pp")
+    return DiffusionSpec(d_qq=d_qq, d_pp=d_pp, d_pq=_get(cfg, "diffusion.d_pq", 0.0)), None
+
+
+_MOMENTS = ("sigma_q", "sigma_p", "sigma_qq", "sigma_pp", "sigma_pq")
 
 
 def build_initial_state(cfg: dict, osc: OscillatorSpec) -> GaussianState:
-    block = cfg.get("initial_state")
-    if not isinstance(block, dict):
-        raise ConfigError("missing 'initial_state' block")
-    kind = block.get("kind")
-    explicit = all(
-        k in block for k in ("sigma_q", "sigma_p", "sigma_qq", "sigma_pp", "sigma_pq")
-    )
+    block = _get(cfg, "initial_state", kind=dict)
+    kind = _get(cfg, "initial_state.kind", None, str)
+    explicit = all(k in block for k in _MOMENTS)
     if (kind is None) == (not explicit):
         raise ConfigError(
             "initial_state block must give exactly one source: a 'kind' or "
             "the five explicit moments"
         )
     if explicit:
-        state = GaussianState(
-            sigma_q=block["sigma_q"],
-            sigma_p=block["sigma_p"],
-            sigma_qq=block["sigma_qq"],
-            sigma_pp=block["sigma_pp"],
-            sigma_pq=block["sigma_pq"],
-        )
+        state = GaussianState(**{k: _get(cfg, f"initial_state.{k}") for k in _MOMENTS})
         propagator.require_physical(state, osc.hbar)
         return state
     if kind == "ground":
         return propagator.ground_state(osc)
+    alpha = _get(cfg, "initial_state.alpha", 0j, complex)
     if kind == "coherent":
         eta = math.sqrt(osc.hbar / (2 * osc.mass * osc.omega))
-        alpha = _complex_from(block.get("alpha", 0.0))
         return CCSpec(eta=eta, r=0.0, alpha=alpha, hbar=osc.hbar).state()
     if kind == "ccs":
-        try:
-            ccs = CCSpec(
-                eta=block["eta"],
-                r=block["r"],
-                alpha=_complex_from(block.get("alpha", 0.0)),
-                hbar=osc.hbar,
-            )
-        except KeyError as exc:
-            raise ConfigError(f"ccs initial state missing key {exc}") from exc
-        return ccs.state()
+        eta, r = _get(cfg, "initial_state.eta"), _get(cfg, "initial_state.r")
+        return CCSpec(eta=eta, r=r, alpha=alpha, hbar=osc.hbar).state()
     raise ConfigError(f"unknown initial state kind {kind!r}")
 
 
 def build_times(cfg: dict) -> list[float]:
-    block = cfg.get("times")
-    if not isinstance(block, dict):
-        raise ConfigError("missing 'times' block")
-    if "list" in block:
-        if not isinstance(block["list"], list):
-            raise ConfigError("times.list must be a list of numbers")
-        times = [_finite(t, "times.list") for t in block["list"]]
+    listed = _get(cfg, "times.list", None, list)
+    if listed is not None:
+        times = [_check(t, f"times.list[{i}]") for i, t in enumerate(listed)]
     else:
-        try:
-            raw_n, start, end = block["n_samples"], block["t_start"], block["t_end"]
-        except KeyError as exc:
-            raise ConfigError(f"times block missing key {exc}") from exc
-        integral = isinstance(raw_n, int) or (isinstance(raw_n, float) and raw_n.is_integer())
-        if isinstance(raw_n, bool) or not integral:
-            raise ConfigError(f"times.n_samples must be an integer, got {raw_n!r}")
-        n = int(raw_n)
+        n = _get(cfg, "times.n_samples", kind=int)
+        start, end = _get(cfg, "times.t_start"), _get(cfg, "times.t_end")
         if n < 1:
-            raise ConfigError("n_samples must be >= 1")
-        times = list(np.linspace(_finite(start, "times.t_start"), _finite(end, "times.t_end"), n))
+            raise ConfigError("times.n_samples must be >= 1")
+        times = list(np.linspace(start, end, n))
     if any(t < 0 for t in times):
         raise ConfigError("times must be >= 0")
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -217,9 +202,9 @@ def build_times(cfg: dict) -> list[float]:
 
 
 def _window(cfg: dict, osc: OscillatorSpec, args) -> CoherentWindow:
-    s_qq = getattr(args, "window_sqq", None)
-    if s_qq is None:
-        s_qq = cfg.get("window", {}).get("s_qq")
+    s_qq = _get(cfg, "window.s_qq", None)
+    if getattr(args, "window_sqq", None) is not None:
+        s_qq = args.window_sqq
     if s_qq is None:
         return CoherentWindow.matched(osc)
     return CoherentWindow.squeezed(s_qq, hbar=osc.hbar)
@@ -239,9 +224,9 @@ def _emit(args, cfg: dict, header: list[str], columns: list,
     one block with an empty prefix.  JSON expands the axes into columns and
     prints NaN as null.
     """
-    out_block = cfg.get("output", {})
-    fmt = args.format or out_block.get("format", "csv")
-    path = args.out or out_block.get("path")
+    fmt = _get(cfg, "output.format", "csv", str)
+    path = _get(cfg, "output.path", None, str)
+    fmt, path = args.format or fmt, args.out or path
     columns = [np.ravel(c) for c in columns]
     if fmt == "csv":
         template = ",".join("%.17g" if c.dtype.kind in "fiu" else "%s" for c in columns) + "\n"

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DiffusionSpec, InvalidStateError, OscillatorSpec, ParameterError
+from .model import DiffusionSpec, OscillatorSpec, ParameterError
 from .phasespace import CoherentWindow, husimi_grid, smoothed_covariance_det
-from .propagator import GaussianState
+from .propagator import GaussianState, require_physical
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,8 @@ class DerivedScalars:
 
 def occupation_nu(state: GaussianState, hbar: float = 1.0) -> float:
     """Effective occupation number: sqrt(sigma)/hbar - 1/2."""
-    det = state.uncertainty_det
-    floor = hbar**2 / 4
-    if det < floor * (1 - 1e-10):
-        raise InvalidStateError(
-            f"uncertainty determinant {det} below hbar^2/4={floor}"
-        )
-    return max(0.0, math.sqrt(det) / hbar - 0.5)
+    require_physical(state, hbar)
+    return max(0.0, math.sqrt(state.uncertainty_det) / hbar - 0.5)
 
 
 def von_neumann_entropy(state: GaussianState, hbar: float = 1.0) -> float:

@@ -86,6 +86,8 @@ class CoherentWindow:
 
     @classmethod
     def squeezed(cls, s_qq: float, hbar: float = 1.0) -> "CoherentWindow":
+        if not s_qq > 0:
+            raise ParameterError("window variances must be positive")
         return cls(s_qq=s_qq, s_pp=hbar**2 / (4 * s_qq), hbar=hbar)
 
 

@@ -52,10 +52,10 @@ class GaussianState:
         return self.sigma_qq * self.sigma_pp - self.sigma_pq**2
 
 
-def require_physical(state: GaussianState, hbar: float, rtol: float = 1e-10) -> None:
+def require_physical(state: GaussianState, hbar: float) -> None:
     """Reject states below the generalized uncertainty bound hbar**2/4."""
     floor = hbar**2 / 4
-    if state.uncertainty_det < floor * (1 - rtol):
+    if state.uncertainty_det < floor * (1 - 1e-10):
         raise InvalidStateError(
             f"uncertainty determinant {state.uncertainty_det} below hbar^2/4={floor}"
         )

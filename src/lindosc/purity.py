@@ -95,16 +95,14 @@ def check_pure_preserving(
             )
     else:
         preserving = False
-    det = state.uncertainty_det
-    target = hbar**2 / 4
-    is_pure = abs(det - target) <= PURITY_RTOL * target
+    ccs = identify_ccs(state, hbar)
     return PurityReport(
         t=state.t,
-        sigma_det=det,
+        sigma_det=state.uncertainty_det,
         gamma=purity_gamma(state, hbar),
-        is_pure=is_pure,
+        is_pure=ccs is not None,
         r=correlation_coefficient(state),
-        ccs=identify_ccs(state, hbar),
+        ccs=ccs,
         preserving=preserving,
         conditions=conditions,
     )

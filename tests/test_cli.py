@@ -354,6 +354,14 @@ def _bad_ops(ops):
     return conf
 
 
+def _bad_block(block, **values):
+    conf = gibbs_config()
+    conf[block] = {**conf.get(block, {}), **values}
+    return conf
+
+
+_EXPLICIT_D = {"d_qq": 0.3, "d_pp": 0.3, "d_pq": 0.0}
+
 # name -> (config, text the error line names, output format)
 BAD_INPUTS = {
     "times-list-infinity": (_bad_times(list=[0.0, math.inf]), "times.list", "csv"),
@@ -395,6 +403,37 @@ BAD_INPUTS = {
     "times-n-samples-bool": (
         _bad_times(t_start=0.0, t_end=1.0, n_samples=True), "times.n_samples", "csv"
     ),
+    "omega-bool": (_bad_block("oscillator", omega=True), "oscillator.omega", "csv"),
+    "hbar-bool": (_bad_block("oscillator", hbar=True), "oscillator.hbar", "json"),
+    "temperature-bool": (
+        _bad_block("diffusion", temperature=True), "diffusion.temperature", "csv"
+    ),
+    "omega-text": (_bad_block("oscillator", omega="1"), "oscillator.omega", "csv"),
+    "mass-text": (_bad_block("oscillator", m="1"), "oscillator.m", "json"),
+    "temperature-text": (
+        _bad_block("diffusion", temperature="1.5"), "diffusion.temperature", "csv"
+    ),
+    "d-qq-text": (
+        gibbs_config(diffusion={**_EXPLICIT_D, "d_qq": "0.3"}), "diffusion.d_qq", "csv"
+    ),
+    "d-qq-nan": (
+        gibbs_config(diffusion={**_EXPLICIT_D, "d_qq": math.nan}), "diffusion.d_qq", "csv"
+    ),
+    "ccs-eta-text": (
+        gibbs_config(initial_state={"kind": "ccs", "eta": "1", "r": 0.0}),
+        "initial_state.eta", "csv",
+    ),
+    "explicit-sigma-qq-text": (
+        gibbs_config(initial_state={"sigma_q": 0.0, "sigma_p": 0.0, "sigma_qq": "1",
+                                    "sigma_pp": 1.0, "sigma_pq": 0.0}),
+        "initial_state.sigma_qq", "csv",
+    ),
+    "window-s-qq-text": (gibbs_config(window={"s_qq": "0.5"}), "window.s_qq", "csv"),
+    "window-s-qq-zero": (
+        gibbs_config(window={"s_qq": 0}), "window variances must be positive", "csv"
+    ),
+    "window-not-object": (gibbs_config(window=5), "window must be an object", "csv"),
+    "output-not-object": (gibbs_config(output=5), "output must be an object", "json"),
 }
 
 
@@ -408,6 +447,14 @@ def test_bad_input_exits_one_with_one_line(tmp_path, name):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ") and key in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["evolve", "steady", "husimi-grid"])
+def test_zero_window_sqq_flag_exits_one(tmp_path, command):
+    cfg = write_config(tmp_path, gibbs_config())
+    proc = run_cli(command, "--config", cfg, "--window-sqq", "0")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: window variances must be positive\n"
 
 
 def test_integral_float_n_samples_accepted(tmp_path):
