@@ -145,8 +145,7 @@ def build_diffusion(cfg: dict, osc: OscillatorSpec) -> tuple[DiffusionSpec, floa
             for i in range(len(entries))
         ))
         diff, lam = model.coefficients_from_ops(ops, osc.units)
-        scale = max(abs(lam), abs(osc.lam), 1e-300)
-        if abs(lam - osc.lam) > 1e-9 * scale:
+        if not model.negligible(lam - osc.lam, lam, osc.lam, rtol=model.AGREE_RTOL):
             raise ConfigError(
                 f"friction from lindblad ops ({lam}) disagrees with "
                 f"oscillator lambda ({osc.lam})"
@@ -255,8 +254,11 @@ def _emit(args, cfg: dict, header: list[str], columns: list,
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -293,6 +295,10 @@ def _scenario(args):
     cfg = _load_config(args.config)
     osc = build_oscillator(cfg, args.hbar)
     diff, temp = build_diffusion(cfg, osc)
+    failed = model.validate(diff, osc).failed()
+    if failed:
+        raise ConfigError("inadmissible diffusion coefficients: " + ", ".join(
+            f"{c.name} fails (margin={c.margin:.17g})" for c in failed))
     state0 = build_initial_state(cfg, osc)
     return cfg, osc, diff, temp, state0
 
@@ -429,8 +435,7 @@ def _selftest_checks(seed: int):
         state0 = propagator.ground_state(osc)
         for t in np.linspace(0, 10 / lam, 23)[1:]:
             det = propagator.evolve(osc, diff, state0, float(t)).uncertainty_det
-            if det < 0.25 * (1 - 1e-10):
-                ok = False
+            ok = ok and (det >= 0.25 or model.negligible(det - 0.25, 0.25))
     results.append(("uncertainty preserved along evolution", ok))
 
     ok = True

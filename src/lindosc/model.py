@@ -24,6 +24,18 @@ class ConsistencyError(RuntimeError):
     """Internal numerical consistency check failed (e.g. imaginary residue)."""
 
 
+# Tolerance policy: a residual within RTOL of its scale is zero up to rounding.
+# Two routes to one value agree within AGREE_RTOL, wider because near
+# |mu| -> omega the two steady-state routes differ by about 2e-10 relative.
+RTOL = 1e-10
+AGREE_RTOL = 1e-9
+
+
+def negligible(residual, *scales, rtol: float = RTOL) -> bool:
+    """Whether |residual| <= rtol * the largest |scale| (at least 1e-300)."""
+    return abs(residual) <= rtol * max([1e-300, *map(abs, scales)])
+
+
 @dataclass(frozen=True)
 class UnitSystem:
     """Unit constants: reduced Planck constant and Boltzmann constant."""
@@ -32,10 +44,10 @@ class UnitSystem:
     boltzmann: float = 1.0
 
     def __post_init__(self):
-        if not self.hbar > 0:
-            raise ParameterError(f"hbar must be > 0, got {self.hbar}")
-        if not self.boltzmann > 0:
-            raise ParameterError(f"boltzmann must be > 0, got {self.boltzmann}")
+        if not 0 < self.hbar < math.inf:
+            raise ParameterError(f"hbar must be finite and > 0, got {self.hbar}")
+        if not 0 < self.boltzmann < math.inf:
+            raise ParameterError(f"boltzmann must be finite and > 0, got {self.boltzmann}")
 
 
 @dataclass(frozen=True)
@@ -141,26 +153,24 @@ class ConstraintReport:
         return [c for c in self.checks if not c.passed]
 
 
-# Relative tolerance absorbing rounding in presets that saturate the
-# determinant inequality.
-_DET_RTOL = 1e-12
-
-
 def determinant_margin(diff: DiffusionSpec, lam: float, hbar: float) -> float:
     """d_pp*d_qq - d_pq**2 - (lam*hbar/2)**2; >= 0 for admissible coefficients."""
     return diff.d_pp * diff.d_qq - diff.d_pq**2 - (lam * hbar) ** 2 / 4
 
 
+def _determinant_check(diff: DiffusionSpec, lam: float, hbar: float) -> ConstraintCheck:
+    """The determinant constraint; presets that saturate it pass up to rounding."""
+    det = determinant_margin(diff, lam, hbar)
+    scales = (diff.d_pp * diff.d_qq, diff.d_pq**2, (lam * hbar) ** 2 / 4)
+    return ConstraintCheck("determinant", det >= 0 or negligible(det, *scales), det)
+
+
 def validate(diff: DiffusionSpec, osc: OscillatorSpec) -> ConstraintReport:
     """Check the three admissibility constraints on the diffusion coefficients."""
-    det = determinant_margin(diff, osc.lam, osc.hbar)
-    scale = max(
-        abs(diff.d_pp * diff.d_qq), diff.d_pq**2, (osc.lam * osc.hbar) ** 2 / 4
-    )
     checks = (
         ConstraintCheck("d_pp_positive", diff.d_pp > 0, diff.d_pp),
         ConstraintCheck("d_qq_positive", diff.d_qq > 0, diff.d_qq),
-        ConstraintCheck("determinant", det >= -_DET_RTOL * scale, det),
+        _determinant_check(diff, osc.lam, osc.hbar),
     )
     return ConstraintReport(checks)
 
@@ -180,11 +190,10 @@ def coefficients_from_ops(
     d_pq = -hbar / 2 * cross.real
     lam = -cross.imag
     diff = DiffusionSpec(d_qq=d_qq, d_pp=d_pp, d_pq=d_pq)
-    det = determinant_margin(diff, lam, hbar)
-    scale = max(d_pp * d_qq, d_pq**2, (lam * hbar) ** 2 / 4, 1e-300)
-    if det < -1e-10 * scale:
+    check = _determinant_check(diff, lam, hbar)
+    if not check.passed:
         raise ConsistencyError(
-            f"determinant constraint violated beyond rounding: margin={det}"
+            f"determinant constraint violated beyond rounding: margin={check.margin}"
         )
     return diff, lam
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import OscillatorSpec, ParameterError
+from .model import OscillatorSpec, ParameterError, negligible
 from .propagator import GaussianState
 
 MEASURE_PLAIN = "dqdp"
@@ -73,7 +73,7 @@ class CoherentWindow:
         if not (self.s_qq > 0 and self.s_pp > 0):
             raise ParameterError("window variances must be positive")
         target = self.hbar**2 / 4
-        if abs(self.s_qq * self.s_pp - target) > 1e-12 * target:
+        if not negligible(self.s_qq * self.s_pp - target, target):
             raise ParameterError(
                 f"window must satisfy s_qq*s_pp = hbar^2/4, got {self.s_qq * self.s_pp}"
             )

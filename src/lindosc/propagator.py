@@ -15,14 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
+    AGREE_RTOL,
     ConsistencyError,
     DiffusionSpec,
     InvalidStateError,
     OscillatorSpec,
     ParameterError,
+    negligible,
 )
-
-_IMAG_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,8 @@ class GaussianState:
 def require_physical(state: GaussianState, hbar: float) -> None:
     """Reject states below the generalized uncertainty bound hbar**2/4."""
     floor = hbar**2 / 4
-    if state.uncertainty_det < floor * (1 - 1e-10):
+    margin = state.uncertainty_det - floor
+    if margin < 0 and not negligible(margin, floor):
         raise InvalidStateError(
             f"uncertainty determinant {state.uncertainty_det} below hbar^2/4={floor}"
         )
@@ -140,7 +141,7 @@ def _drive_vector(osc: OscillatorSpec, diff: DiffusionSpec) -> np.ndarray:
 
 def _real_checked(z: np.ndarray, scale: float) -> np.ndarray:
     residue = np.max(np.abs(z.imag))
-    if residue > _IMAG_RTOL * max(scale, 1e-300):
+    if not negligible(residue, scale):
         raise ConsistencyError(
             f"imaginary residue {residue} exceeds tolerance at scale {scale}"
         )
@@ -194,7 +195,7 @@ def steady_covariances(osc: OscillatorSpec, diff: DiffusionSpec) -> ScaledCovari
     matrix = tm @ ((tm @ _drive_vector(osc, diff)) / _decay_rates(osc))
     scale = np.max(np.abs(explicit))
     matrix = _real_checked(matrix, scale)
-    if not np.allclose(matrix, explicit, rtol=1e-9, atol=1e-12 * max(scale, 1.0)):
+    if not negligible(np.max(np.abs(matrix - explicit)), scale, rtol=AGREE_RTOL):
         raise ConsistencyError(
             f"steady-state cross-check failed: {explicit} vs {matrix}"
         )

@@ -13,13 +13,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .entropy import purity_gamma
-from .model import DiffusionSpec, OscillatorSpec, determinant_margin
+from .model import DiffusionSpec, OscillatorSpec, determinant_margin, negligible
 from .phasespace import CCSpec
 from .propagator import GaussianState, sample_trajectory
-
-# sigma within this relative distance of hbar^2/4 counts as pure
-PURITY_RTOL = 1e-10
-_PRESERVE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -45,7 +41,7 @@ def identify_ccs(state: GaussianState, hbar: float = 1.0) -> CCSpec | None:
     """Reconstruct the unique correlated coherent state matching a
     minimum-uncertainty Gaussian; None for mixed states."""
     target = hbar**2 / 4
-    if abs(state.uncertainty_det - target) > PURITY_RTOL * target:
+    if not negligible(state.uncertainty_det - target, target):
         return None
     eta = math.sqrt(state.sigma_qq)
     r = correlation_coefficient(state)
@@ -66,35 +62,24 @@ def check_pure_preserving(
     """
     hbar, lam = osc.hbar, osc.lam
     det_d = diff.d_pp * diff.d_qq - diff.d_pq**2
-    conditions = {
-        "diffusion_determinant": determinant_margin(diff, lam, hbar),
-        "mixed_balance": diff.d_pp * state.sigma_qq
-        - diff.d_pq * state.sigma_pq
-        - hbar**2 * lam / 4,
-        "cross_balance": state.sigma_pq * det_d - hbar**2 * lam / 4 * diff.d_pq,
-    }
-    scales = {
-        "diffusion_determinant": max(det_d, (hbar * lam) ** 2 / 4),
-        "mixed_balance": max(abs(diff.d_pp * state.sigma_qq), hbar**2 * lam / 4),
-        "cross_balance": max(abs(state.sigma_pq * det_d), hbar**2 * lam / 4 * abs(diff.d_pq), det_d * hbar),
-    }
-    preserving = all(
-        abs(res) <= _PRESERVE_RTOL * max(scales[name], 1e-300)
-        for name, res in conditions.items()
-    )
+    hbar2_lam4 = hbar**2 * lam / 4
+    # (name, residual, the terms its tolerance is relative to)
+    residuals = [
+        ("diffusion_determinant", determinant_margin(diff, lam, hbar),
+         (det_d, (hbar * lam) ** 2 / 4)),
+        ("mixed_balance", diff.d_pp * state.sigma_qq - diff.d_pq * state.sigma_pq - hbar2_lam4,
+         (diff.d_pp * state.sigma_qq, hbar2_lam4)),
+        ("cross_balance", state.sigma_pq * det_d - hbar2_lam4 * diff.d_pq,
+         (state.sigma_pq * det_d, hbar2_lam4 * diff.d_pq, det_d * hbar)),
+    ]
     if lam > 0:
-        for name, sigma, d in (
-            ("constant_sigma_qq", state.sigma_qq, diff.d_qq),
-            ("constant_sigma_pp", state.sigma_pp, diff.d_pp),
-            ("constant_sigma_pq", state.sigma_pq, diff.d_pq),
-        ):
-            res = sigma - d / lam
-            conditions[name] = res
-            preserving = preserving and abs(res) <= _PRESERVE_RTOL * max(
-                abs(sigma), abs(d / lam), 1e-300
-            )
-    else:
-        preserving = False
+        residuals += [
+            (f"constant_sigma_{ab}", sigma - d / lam, (sigma, d / lam))
+            for ab, sigma, d in (("qq", state.sigma_qq, diff.d_qq),
+                                 ("pp", state.sigma_pp, diff.d_pp),
+                                 ("pq", state.sigma_pq, diff.d_pq))
+        ]
+    preserving = lam > 0 and all(negligible(res, *scales) for _, res, scales in residuals)
     ccs = identify_ccs(state, hbar)
     return PurityReport(
         t=state.t,
@@ -104,7 +89,7 @@ def check_pure_preserving(
         r=correlation_coefficient(state),
         ccs=ccs,
         preserving=preserving,
-        conditions=conditions,
+        conditions={name: res for name, res, _ in residuals},
     )
 
 

@@ -543,3 +543,36 @@ def test_emit_axes_match_expanded_columns(capsys, fmt):
         assert with_axes.splitlines()[2:5] == [
             "-1.5,-0,-7,true", "-1.5,0.10000000000000001,-6,false", "-1.5,7,-5,true",
         ]
+
+
+INADMISSIBLE = gibbs_config(diffusion={"d_qq": -0.1, "d_pp": 0.3, "d_pq": 0.0})
+
+
+@pytest.mark.parametrize("command", [
+    "evolve", "steady", "purity-scan", "wigner-grid", "husimi-grid", "kernel",
+])
+def test_inadmissible_coefficients_rejected_before_propagation(tmp_path, command):
+    proc = run_cli(command, "--config", write_config(tmp_path, INADMISSIBLE))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: inadmissible diffusion coefficients: ")
+    assert "d_qq_positive fails (margin=-0.10000000000000001)" in proc.stderr
+    assert "determinant fails" in proc.stderr
+
+
+def test_infinite_hbar_flag_rejected(tmp_path):
+    proc = run_cli("evolve", "--config", write_config(tmp_path, gibbs_config()),
+                   "--hbar", "inf")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: hbar must be finite and > 0, got inf\n"
+
+
+def test_unwritable_output_path_exits_one(tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    proc = run_cli("evolve", "--config", write_config(tmp_path, gibbs_config()),
+                   "--out", str(out))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert "Traceback" not in proc.stderr and not out.exists()

@@ -14,7 +14,7 @@ from lindosc import (
     preset_pure_state,
     validate,
 )
-from lindosc.model import determinant_margin, pure_state_op
+from lindosc.model import RTOL, determinant_margin, negligible, pure_state_op
 
 from conftest import random_oscillator
 
@@ -26,6 +26,34 @@ def test_unit_system_defaults_and_positivity():
         UnitSystem(hbar=0.0)
     with pytest.raises(ParameterError):
         UnitSystem(boltzmann=-1.0)
+
+
+@pytest.mark.parametrize("field", ["hbar", "boltzmann"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_unit_system_rejects_non_finite(field, value):
+    with pytest.raises(ParameterError, match=f"{field} must be finite"):
+        UnitSystem(**{field: value})
+
+
+def test_negligible_zero_residual_without_scale():
+    assert negligible(0.0)
+    assert negligible(0.0, 0.0, 0.0)
+    assert not negligible(1e-300, 0.0)
+
+
+def test_negligible_takes_scales_by_magnitude():
+    assert negligible(1e-11, -1.0)
+    assert negligible(-1e-11, -1.0, 0.5)
+    assert not negligible(1e-9, -1.0)
+    assert negligible(-1e-9, -2.0, 1e-3, rtol=1e-9)
+
+
+def test_negligible_boundary_is_inclusive():
+    scale = 4.0
+    assert negligible(RTOL * scale, scale)
+    assert negligible(-RTOL * scale, scale)
+    assert not negligible(math.nextafter(RTOL * scale, 1.0), scale)
+    assert not negligible(math.nan, 1.0)
 
 
 def test_overdamped_rejected():

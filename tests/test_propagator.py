@@ -19,7 +19,14 @@ from lindosc import (
     steady_covariances,
     steady_state,
 )
-from lindosc.propagator import ScaledCovariances, default_oracle_step
+from lindosc.model import AGREE_RTOL, RTOL
+from lindosc.propagator import (
+    ScaledCovariances,
+    _decay_rates,
+    _drive_vector,
+    _mode_matrix,
+    default_oracle_step,
+)
 
 from conftest import random_diffusion, random_oscillator, random_state
 
@@ -109,6 +116,20 @@ def test_steady_requires_friction():
     osc = OscillatorSpec(mass=1, omega=1, lam=0.0)
     with pytest.raises(ParameterError):
         steady_covariances(osc, DiffusionSpec(0.1, 0.1, 0.0))
+
+
+def test_steady_routes_agree_within_agree_rtol_near_critical():
+    # At |mu|/omega = 1 - 1e-6 the matrix route T K^-1 T D loses about six
+    # digits: its gap to the explicit route is above RTOL yet below AGREE_RTOL.
+    omega = 0.57
+    osc = OscillatorSpec(mass=0.2, omega=omega, lam=0.41, mu=omega * (1 - 1e-6))
+    diff = DiffusionSpec(d_qq=0.91, d_pp=0.82, d_pq=0.14)
+    tm = _mode_matrix(osc)
+    matrix = (tm @ ((tm @ _drive_vector(osc, diff)) / _decay_rates(osc))).real
+    explicit = steady_covariances(osc, diff).as_array()
+    gap = np.max(np.abs(matrix - explicit)) / np.max(np.abs(explicit))
+    assert RTOL < gap < AGREE_RTOL
+    assert steady_state(osc, diff).sigma_qq > 0
 
 
 def test_covariances_identity_at_zero():
