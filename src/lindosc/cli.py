@@ -209,6 +209,13 @@ def _window(cfg: dict, osc: OscillatorSpec, args) -> CoherentWindow:
     return CoherentWindow.squeezed(s_qq, hbar=osc.hbar)
 
 
+def _json_cells(column: np.ndarray) -> list[str]:
+    """JSON text of each value: floats as their shortest repr, NaN as null."""
+    if column.dtype.kind != "f":
+        return list(map(json.dumps, column.tolist()))
+    return ["null" if v != v else repr(v) for v in column.tolist()]
+
+
 def _emit(args, cfg: dict, header: list[str], columns: list,
           comments: list[str] | None = None, axes: tuple = ()) -> None:
     """Write one row per point, one field per header entry.
@@ -217,16 +224,20 @@ def _emit(args, cfg: dict, header: list[str], columns: list,
     they give the first two fields of each row and `columns` the rest.
     Columns are numpy arrays or lists of numbers, bools or strings with one
     value per row; a 2-D array is read in row-major order, so point (i, j)
-    of a grid is index i * len(axes[1]) + j.  CSV prints numbers with 17
-    significant digits and bools as true/false.  It formats each axis value
-    once and fills one outer-axis block at a time; without axes the body is
-    one block with an empty prefix.  JSON expands the axes into columns and
-    prints NaN as null.
+    of a grid is index i * len(axes[1]) + j.  A float column holding +-inf
+    raises ConsistencyError.  CSV prints numbers with 17 significant digits
+    and bools as true/false.  It formats each axis value once and fills one
+    outer-axis block at a time; without axes the body is one block with an
+    empty prefix.  JSON expands the axes into columns, prints NaN as null
+    and fills one row template per point, as json.dumps(indent=1) would.
     """
     fmt = _get(cfg, "output.format", "csv", str)
     path = _get(cfg, "output.path", None, str)
     fmt, path = args.format or fmt, args.out or path
     columns = [np.ravel(c) for c in columns]
+    for name, c in zip(header, [*axes, *columns]):
+        if c.dtype.kind == "f" and np.isinf(c).any():
+            raise ConsistencyError(f"output column {name} holds an infinite value")
     if fmt == "csv":
         template = ",".join("%.17g" if c.dtype.kind in "fiu" else "%s" for c in columns) + "\n"
         columns = [np.where(c, "true", "false") if c.dtype == bool else c for c in columns]
@@ -243,14 +254,18 @@ def _emit(args, cfg: dict, header: list[str], columns: list,
         text = "".join(f"# {line}\n" for line in comments or []) + ",".join(header) + "\n" + body
     elif fmt == "json":
         points = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
-        rows = zip(*(
-            (np.where(np.isnan(c), None, c) if c.dtype.kind == "f" else c).tolist()
-            for c in points + columns
-        ))
-        payload = {"rows": [dict(zip(header, row)) for row in rows]}
+        cells = [_json_cells(c) for c in points + columns]
+        row = "  {\n" + ",\n".join(
+            f"   {json.dumps(name).replace('%', '%%')}: %s" for name in header
+        ) + "\n  }"
+        payload = {"rows": []}
         if comments:
             payload["metadata"] = comments
         text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
+        if cells[0]:
+            body = ",\n".join([row] * len(cells[0])) % tuple(
+                itertools.chain.from_iterable(zip(*cells)))
+            text = text.replace('"rows": []', '"rows": [\n' + body + "\n ]", 1)
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
     if path:
@@ -264,13 +279,11 @@ def _emit(args, cfg: dict, header: list[str], columns: list,
 
 
 def _run_row(t, state: GaussianState, scalars: entropy.DerivedScalars, osc) -> list:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        t_eff = (
-            scalars.t_eff
-            if scalars.t_eff is not None
-            else entropy.effective_temperature(osc, state)
-        )
+    t_eff = scalars.t_eff
+    if t_eff is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            t_eff = entropy.effective_temperature(osc, state)
     return [
         t, state.sigma_q, state.sigma_p, state.sigma_qq, state.sigma_pp,
         state.sigma_pq, scalars.sigma_det, scalars.nu, scalars.s_vn, t_eff,

@@ -33,18 +33,38 @@ class DerivedScalars:
     s_lin_rate: float | None = None
 
 
+def _occupation(root: float, hbar: float) -> float:
+    """nu from sqrt(sigma), the root of a validated covariance determinant."""
+    return max(0.0, root / hbar - 0.5)
+
+
+def _entropy(nu: float) -> float:
+    """(nu+1)ln(nu+1) - nu*ln(nu), with 0*ln(0) := 0."""
+    if nu == 0.0:
+        return 0.0
+    return (nu + 1) * math.log(nu + 1) - nu * math.log(nu)
+
+
+def _temperature(osc: OscillatorSpec, nu: float) -> float:
+    """Thermal temperature with occupation nu; 0 for nu = 0."""
+    if nu == 0.0:
+        return 0.0
+    return osc.hbar * osc.omega / (osc.boltzmann * (math.log(nu + 1) - math.log(nu)))
+
+
+def _purity(root: float, hbar: float) -> float:
+    """Tr rho^2 from sqrt(sigma), capped at 1 against rounding."""
+    return min(1.0, hbar / (2 * root))
+
+
 def occupation_nu(state: GaussianState, hbar: float = 1.0) -> float:
     """Effective occupation number: sqrt(sigma)/hbar - 1/2."""
-    require_physical(state, hbar)
-    return max(0.0, math.sqrt(state.uncertainty_det) / hbar - 0.5)
+    return _occupation(math.sqrt(require_physical(state, hbar)), hbar)
 
 
 def von_neumann_entropy(state: GaussianState, hbar: float = 1.0) -> float:
     """(nu+1)ln(nu+1) - nu*ln(nu); zero exactly for minimum-uncertainty states."""
-    nu = occupation_nu(state, hbar)
-    if nu == 0.0:
-        return 0.0
-    return (nu + 1) * math.log(nu + 1) - nu * math.log(nu)
+    return _entropy(occupation_nu(state, hbar))
 
 
 def effective_temperature(osc: OscillatorSpec, state: GaussianState) -> float:
@@ -56,8 +76,7 @@ def effective_temperature(osc: OscillatorSpec, state: GaussianState) -> float:
     nu = occupation_nu(state, osc.hbar)
     if nu == 0.0:
         warnings.warn("effective temperature of a pure state returned as 0")
-        return 0.0
-    return osc.hbar * osc.omega / (osc.boltzmann * (math.log(nu + 1) - math.log(nu)))
+    return _temperature(osc, nu)
 
 
 def entropy_from_temperature(osc: OscillatorSpec, t_eff: float) -> float:
@@ -105,8 +124,7 @@ def minimized_uncertainty_bound(state: GaussianState, hbar: float = 1.0) -> floa
 
 def purity_gamma(state: GaussianState, hbar: float = 1.0) -> float:
     """Purity Tr rho^2 = hbar / (2 sqrt(sigma)) for a Gaussian state."""
-    occupation_nu(state, hbar)  # validates the uncertainty bound
-    return min(1.0, hbar / (2 * math.sqrt(state.uncertainty_det)))
+    return _purity(math.sqrt(require_physical(state, hbar)), hbar)
 
 
 def linear_entropy(state: GaussianState, hbar: float = 1.0) -> float:
@@ -155,24 +173,23 @@ def derived_scalars(
     """Bundle of all scalar diagnostics for one state.
 
     t_eff is populated only in a thermal-bath context (thermal_temperature
-    given); the rate needs the diffusion coefficients.
+    given); the rate needs the diffusion coefficients.  Every entropy and
+    purity field derives from one validated determinant.
     """
     hbar = osc.hbar
     window = window or CoherentWindow.matched(osc)
-    nu = occupation_nu(state, hbar)
-    t_eff = None
-    if thermal_temperature is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            t_eff = effective_temperature(osc, state)
+    det = require_physical(state, hbar)
+    root = math.sqrt(det)
+    nu = _occupation(root, hbar)
+    gamma = _purity(root, hbar)
     return DerivedScalars(
-        sigma_det=state.uncertainty_det,
+        sigma_det=det,
         nu=nu,
-        s_vn=von_neumann_entropy(state, hbar),
-        gamma=purity_gamma(state, hbar),
-        s_lin=linear_entropy(state, hbar),
+        s_vn=_entropy(nu),
+        gamma=gamma,
+        s_lin=1.0 - gamma,
         wehrl=wehrl_entropy_closed(state, window, hbar),
         energy=fluctuation_energy(osc, state),
-        t_eff=t_eff,
+        t_eff=None if thermal_temperature is None else _temperature(osc, nu),
         s_lin_rate=None if diff is None else linear_entropy_rate(osc, diff, state),
     )

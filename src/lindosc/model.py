@@ -36,6 +36,11 @@ def negligible(residual, *scales, rtol: float = RTOL) -> bool:
     return abs(residual) <= rtol * max([1e-300, *map(abs, scales)])
 
 
+# Admissible magnitudes of hbar and boltzmann: their squares, and the
+# moments and diffusion coefficients they scale, stay finite and normal.
+UNIT_RANGE = (1e-100, 1e100)
+
+
 @dataclass(frozen=True)
 class UnitSystem:
     """Unit constants: reduced Planck constant and Boltzmann constant."""
@@ -44,10 +49,13 @@ class UnitSystem:
     boltzmann: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.hbar < math.inf:
-            raise ParameterError(f"hbar must be finite and > 0, got {self.hbar}")
-        if not 0 < self.boltzmann < math.inf:
-            raise ParameterError(f"boltzmann must be finite and > 0, got {self.boltzmann}")
+        low, high = UNIT_RANGE
+        for name in ("hbar", "boltzmann"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ParameterError(f"{name} must be finite and > 0, got {value}")
+            if not low <= value <= high:
+                raise ParameterError(f"{name} must be within [{low:g}, {high:g}], got {value}")
 
 
 @dataclass(frozen=True)

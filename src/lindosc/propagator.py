@@ -52,14 +52,15 @@ class GaussianState:
         return self.sigma_qq * self.sigma_pp - self.sigma_pq**2
 
 
-def require_physical(state: GaussianState, hbar: float) -> None:
-    """Reject states below the generalized uncertainty bound hbar**2/4."""
+def require_physical(state: GaussianState, hbar: float) -> float:
+    """The covariance determinant of `state`; rejects states below the
+    generalized uncertainty bound hbar**2/4."""
+    det = state.uncertainty_det
     floor = hbar**2 / 4
-    margin = state.uncertainty_det - floor
+    margin = det - floor
     if margin < 0 and not negligible(margin, floor):
-        raise InvalidStateError(
-            f"uncertainty determinant {state.uncertainty_det} below hbar^2/4={floor}"
-        )
+        raise InvalidStateError(f"uncertainty determinant {det} below hbar^2/4={floor}")
+    return det
 
 
 def ground_state(osc: OscillatorSpec) -> GaussianState:
@@ -243,7 +244,9 @@ def evolve_covariances(
 
 
 def evolve(osc: OscillatorSpec, diff: DiffusionSpec, state0: GaussianState, t: float) -> GaussianState:
-    """Full five-moment state at time t."""
+    """Full five-moment state at time t >= 0."""
+    if not t >= 0:
+        raise ParameterError(f"t must be >= 0, got {t}")
     sq, sp = evolve_means(osc, state0, t)
     cov = evolve_covariances(osc, diff, state0, t)
     s_qq, s_pp, s_pq = cov.to_covariances(osc)
@@ -324,6 +327,7 @@ def sample_trajectory(
     """Closed-form evaluation of the state at each time, with derived
     entropy/purity scalars attached."""
     from .entropy import derived_scalars
+    from .phasespace import CoherentWindow
 
     times = list(times)
     if any(t < 0 for t in times):
@@ -333,15 +337,14 @@ def sample_trajectory(
     if not times:
         return Trajectory(entries=())
     t_arr = np.asarray(times, dtype=float)
-    sq, sp = evolve_means(osc, state0, t_arr)
-    sq = np.atleast_1d(sq)
-    sp = np.atleast_1d(sp)
-    cov = evolve_covariances(osc, diff, state0, t_arr)
+    cov = ScaledCovariances(*evolve_covariances(osc, diff, state0, t_arr).T)
+    moments = (*evolve_means(osc, state0, t_arr), *cov.to_covariances(osc))
+    window = CoherentWindow.matched(osc)
     entries = []
-    for i, t in enumerate(times):
-        s_qq, s_pp, s_pq = ScaledCovariances(*cov[i]).to_covariances(osc)
-        state = GaussianState(sq[i], sp[i], s_qq, s_pp, s_pq, t=state0.t + t)
-        entries.append(
-            (state, derived_scalars(osc, state, diff=diff, thermal_temperature=thermal_temperature))
-        )
+    # Rows hold Python floats: scalar arithmetic on numpy scalars is slower.
+    for t, *row in zip(t_arr.tolist(), *(m.tolist() for m in moments)):
+        state = GaussianState(*row, t=state0.t + t)
+        entries.append((state, derived_scalars(
+            osc, state, diff=diff, window=window, thermal_temperature=thermal_temperature
+        )))
     return Trajectory(entries=tuple(entries))

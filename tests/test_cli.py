@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from lindosc import OscillatorSpec, cli, preset_gibbs, steady_state
+from lindosc import ConsistencyError, OscillatorSpec, cli, preset_gibbs, steady_state
 from lindosc.entropy import von_neumann_entropy
 
 
@@ -543,6 +543,62 @@ def test_emit_axes_match_expanded_columns(capsys, fmt):
         assert with_axes.splitlines()[2:5] == [
             "-1.5,-0,-7,true", "-1.5,0.10000000000000001,-6,false", "-1.5,7,-5,true",
         ]
+
+
+def _json_reference(header, columns, comments, axes):
+    """What json.dumps writes for the rows and metadata _emit is given."""
+    points = [g.ravel().tolist() for g in np.meshgrid(*axes, indexing="ij")]
+    values = points + [np.ravel(c).tolist() for c in columns]
+    rows = [
+        {name: None if isinstance(v, float) and math.isnan(v) else v
+         for name, v in zip(header, row)}
+        for row in zip(*values)
+    ]
+    payload = {"rows": rows}
+    if comments:
+        payload["metadata"] = comments
+    return json.dumps(payload, indent=1, allow_nan=False) + "\n"
+
+
+JSON_CASES = {
+    "no-rows": (["t", "x"], [[], []], None, ()),
+    "no-rows-metadata": (["t"], [[]], ["measure=dqdp", "note"], ()),
+    "bool-string-int-nan": (
+        ["t", "flag", "name", "count", "value"],
+        [[0.0, 0.5, 1e-300], [True, False, True], ["inf", 'a"b%s', "\u00e9"],
+         [1, -2, 3], [math.nan, -0.0, 2.0 / 3.0]],
+        None, (),
+    ),
+    "grid-metadata": (
+        ["q", "p", "value"], [np.arange(6.0).reshape(2, 3) / 7], ["measure=dqdp"],
+        (np.array([-1.0, 0.1]), np.array([0.0, 1e-5, 7.0])),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", JSON_CASES)
+def test_emit_json_matches_json_dumps(capsys, case):
+    header, columns, comments, axes = JSON_CASES[case]
+    args = argparse.Namespace(format="json", out=None)
+    cli._emit(args, {}, header, columns, comments, axes=axes)
+    assert capsys.readouterr().out == _json_reference(header, columns, comments, axes)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_emit_rejects_infinite_values(capsys, fmt, bad):
+    args = argparse.Namespace(format=fmt, out=None)
+    columns = [[0.0, 1.0], [math.nan, bad]]
+    with pytest.raises(ConsistencyError, match="output column t_eff holds an infinite value"):
+        cli._emit(args, {}, ["t", "t_eff"], columns)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("hbar", ["1e155", "1e-200"])
+def test_extreme_hbar_exits_one_naming_the_range(tmp_path, hbar):
+    proc = run_cli("evolve", "--config", write_config(tmp_path, gibbs_config()), "--hbar", hbar)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: hbar must be within [1e-100, 1e+100], got {float(hbar)!r}\n"
 
 
 INADMISSIBLE = gibbs_config(diffusion={"d_qq": -0.1, "d_pp": 0.3, "d_pq": 0.0})

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from lindosc import (
     GaussianState,
     InvalidStateError,
     OscillatorSpec,
+    UnitSystem,
     ground_state,
     preset_gibbs,
     preset_pure_state,
@@ -30,7 +32,7 @@ from lindosc.entropy import (
 )
 from lindosc.propagator import evolve, sample_trajectory
 
-from conftest import random_oscillator, random_state
+from conftest import random_diffusion, random_oscillator, random_state
 
 
 def thermal_state(nu: float, hbar: float = 1.0) -> GaussianState:
@@ -255,3 +257,45 @@ def test_sample_trajectory_scalars_monotone_entropy():
     s_vals = [scalars.s_vn for _, scalars in traj.entries]
     assert s_vals[0] == 0.0
     assert all(b >= a - 1e-12 for a, b in zip(s_vals, s_vals[1:]))
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.3])
+@pytest.mark.parametrize("mixedness", [(0.0, 0.0), (0.0, 3.0)], ids=["pure", "mixed"])
+def test_derived_scalars_equal_single_quantity_functions(rng, hbar, mixedness):
+    zero_nu = 0
+    for _ in range(60):
+        drawn = random_oscillator(rng)
+        osc = OscillatorSpec(drawn.mass, drawn.omega, drawn.lam, drawn.mu, UnitSystem(hbar=hbar))
+        diff = random_diffusion(rng, osc)
+        state = random_state(rng, hbar, mixedness)
+        window = CoherentWindow.matched(osc)
+        fused = derived_scalars(osc, state, diff=diff, window=window, thermal_temperature=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            t_eff = effective_temperature(osc, state)
+        assert fused.sigma_det == state.uncertainty_det
+        assert fused.nu == occupation_nu(state, hbar)
+        assert fused.s_vn == von_neumann_entropy(state, hbar)
+        assert fused.t_eff == t_eff
+        assert fused.gamma == purity_gamma(state, hbar)
+        assert fused.s_lin == linear_entropy(state, hbar)
+        assert fused.s_lin_rate == linear_entropy_rate(osc, diff, state)
+        assert fused.wehrl == wehrl_entropy_closed(state, window, hbar)
+        assert fused.energy == fluctuation_energy(osc, state)
+        zero_nu += fused.nu == 0.0
+    # the pure draws reach nu = 0, where every formula takes its special case
+    assert (zero_nu > 0) == (mixedness == (0.0, 0.0))
+
+
+@pytest.mark.parametrize("state", [thermal_state(0.0), thermal_state(0.0, hbar=2.0)])
+def test_derived_scalars_of_pure_state_is_silent(state):
+    hbar = 2 * state.sigma_qq
+    osc = OscillatorSpec(mass=1, omega=1, lam=0.2, units=UnitSystem(hbar=hbar))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fused = derived_scalars(osc, state, thermal_temperature=1.0)
+    assert (fused.nu, fused.s_vn, fused.t_eff, fused.gamma, fused.s_lin) == (
+        0.0, 0.0, 0.0, 1.0, 0.0
+    )
+    with pytest.warns(UserWarning, match="pure state"):
+        assert effective_temperature(osc, state) == 0.0

@@ -35,6 +35,18 @@ def test_unit_system_rejects_non_finite(field, value):
         UnitSystem(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["hbar", "boltzmann"])
+@pytest.mark.parametrize("value", [1e155, 1.0000000000000002e100, 9.9e-101, 1e-200, 5e-324])
+def test_unit_system_rejects_magnitudes_outside_range(field, value):
+    with pytest.raises(ParameterError, match=rf"{field} must be within \[1e-100, 1e\+100\]"):
+        UnitSystem(**{field: value})
+
+
+def test_unit_system_accepts_range_ends():
+    assert UnitSystem(hbar=1e-100, boltzmann=1e100).hbar == 1e-100
+    assert UnitSystem(hbar=1e100, boltzmann=1e-100).boltzmann == 1e-100
+
+
 def test_negligible_zero_residual_without_scale():
     assert negligible(0.0)
     assert negligible(0.0, 0.0, 0.0)

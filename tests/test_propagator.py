@@ -259,6 +259,13 @@ def test_trajectory_rejects_bad_times():
         sample_trajectory(osc, diff, ground_state(osc), [-1.0, 0.5])
 
 
+@pytest.mark.parametrize("t", [-1.0, -1e-300, math.nan])
+def test_evolve_rejects_negative_time(t):
+    osc = OscillatorSpec(mass=1, omega=1, lam=0.2)
+    with pytest.raises(ParameterError, match="t must be >= 0"):
+        evolve(osc, preset_gibbs(osc, 1.0), ground_state(osc), t)
+
+
 def test_uncertainty_preserved_along_evolution(rng):
     for _ in range(100):
         osc = random_oscillator(rng)
