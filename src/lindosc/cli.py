@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -200,6 +201,17 @@ def build_times(cfg: dict) -> list[float]:
     return times
 
 
+def _output(cfg: dict, args) -> tuple[str, str | None]:
+    """Output format and path: the --format and --out flags, else the output
+    block, else CSV on stdout.  The block is checked even when flags win."""
+    fmt = _get(cfg, "output.format", "csv", str)
+    path = _get(cfg, "output.path", None, str)
+    fmt, path = args.format or fmt, args.out or path
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"output.format must be 'csv' or 'json', got {fmt!r}")
+    return fmt, path
+
+
 def _window(cfg: dict, osc: OscillatorSpec, args) -> CoherentWindow:
     s_qq = _get(cfg, "window.s_qq", None)
     if getattr(args, "window_sqq", None) is not None:
@@ -216,9 +228,10 @@ def _json_cells(column: np.ndarray) -> list[str]:
     return ["null" if v != v else repr(v) for v in column.tolist()]
 
 
-def _emit(args, cfg: dict, header: list[str], columns: list,
+def _emit(output: tuple[str, str | None], header: list[str], columns: list,
           comments: list[str] | None = None, axes: tuple = ()) -> None:
-    """Write one row per point, one field per header entry.
+    """Write one row per point, one field per header entry, in the format
+    and to the path of `output`, as _output resolves them.
 
     `axes` is empty or two numpy arrays, the outer and inner axis of a grid;
     they give the first two fields of each row and `columns` the rest.
@@ -231,9 +244,7 @@ def _emit(args, cfg: dict, header: list[str], columns: list,
     empty prefix.  JSON expands the axes into columns, prints NaN as null
     and fills one row template per point, as json.dumps(indent=1) would.
     """
-    fmt = _get(cfg, "output.format", "csv", str)
-    path = _get(cfg, "output.path", None, str)
-    fmt, path = args.format or fmt, args.out or path
+    fmt, path = output
     columns = [np.ravel(c) for c in columns]
     for name, c in zip(header, [*axes, *columns]):
         if c.dtype.kind == "f" and np.isinf(c).any():
@@ -252,7 +263,7 @@ def _emit(args, cfg: dict, header: list[str], columns: list,
             for i, prefix in enumerate(outer)
         )
         text = "".join(f"# {line}\n" for line in comments or []) + ",".join(header) + "\n" + body
-    elif fmt == "json":
+    else:
         points = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
         cells = [_json_cells(c) for c in points + columns]
         row = "  {\n" + ",\n".join(
@@ -266,8 +277,6 @@ def _emit(args, cfg: dict, header: list[str], columns: list,
             body = ",\n".join([row] * len(cells[0])) % tuple(
                 itertools.chain.from_iterable(zip(*cells)))
             text = text.replace('"rows": []', '"rows": [\n' + body + "\n ]", 1)
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
     if path:
         try:
             with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -293,53 +302,79 @@ def _run_row(t, state: GaussianState, scalars: entropy.DerivedScalars, osc) -> l
     ]
 
 
-def cmd_validate(args) -> int:
+class Scenario(NamedTuple):
+    """A scenario file with its flags, read and checked as a whole."""
+
+    osc: OscillatorSpec
+    diff: DiffusionSpec
+    temperature: float | None  # bath temperature of the thermal preset
+    report: model.ConstraintReport
+    state0: GaussianState
+    output: tuple[str, str | None]
+    window: CoherentWindow
+    times: list[float] | None
+
+
+def _read_scenario(args, times: bool | None) -> Scenario:
+    """Every block a command uses, read before any propagation, so that a
+    malformed value exits 1 before any work is done.
+
+    The times block is read when `times` is true, skipped when it is false
+    and read if present when it is None.
+    """
     cfg = _load_config(args.config)
     osc = build_oscillator(cfg, args.hbar)
-    diff, _ = build_diffusion(cfg, osc)
-    report = model.validate(diff, osc)
+    diff, temp = build_diffusion(cfg, osc)
+    return Scenario(
+        osc, diff, temp, model.validate(diff, osc),
+        state0=build_initial_state(cfg, osc),
+        output=_output(cfg, args),
+        window=_window(cfg, osc, args),
+        times=build_times(cfg) if times or (times is None and "times" in cfg) else None,
+    )
+
+
+def _scenario(args, times: bool = False) -> Scenario:
+    """The scenario of a propagating command; inadmissible diffusion
+    coefficients are a ConfigError."""
+    scenario = _read_scenario(args, times)
+    failed = scenario.report.failed()
+    if failed:
+        raise ConfigError("inadmissible diffusion coefficients: " + ", ".join(
+            f"{c.name} fails (margin={c.margin:.17g})" for c in failed))
+    return scenario
+
+
+def cmd_validate(args) -> int:
+    report = _read_scenario(args, times=None).report
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"constraint {check.name}: {status} (margin={check.margin:.17g})")
     return 0 if report.all_passed else 1
 
 
-def _scenario(args):
-    cfg = _load_config(args.config)
-    osc = build_oscillator(cfg, args.hbar)
-    diff, temp = build_diffusion(cfg, osc)
-    failed = model.validate(diff, osc).failed()
-    if failed:
-        raise ConfigError("inadmissible diffusion coefficients: " + ", ".join(
-            f"{c.name} fails (margin={c.margin:.17g})" for c in failed))
-    state0 = build_initial_state(cfg, osc)
-    return cfg, osc, diff, temp, state0
-
-
 def cmd_evolve(args) -> int:
-    cfg, osc, diff, temp, state0 = _scenario(args)
-    times = build_times(cfg)
-    window = _window(cfg, osc, args)
+    sc = _scenario(args, times=True)
+    osc, diff, temp = sc.osc, sc.diff, sc.temperature
     rows = []
-    traj = propagator.sample_trajectory(osc, diff, state0, times, thermal_temperature=temp)
+    traj = propagator.sample_trajectory(osc, diff, sc.state0, sc.times, thermal_temperature=temp)
     for state, _ in traj:
         scalars = entropy.derived_scalars(
-            osc, state, diff=diff, window=window, thermal_temperature=temp
+            osc, state, diff=diff, window=sc.window, thermal_temperature=temp
         )
         rows.append(_run_row(state.t, state, scalars, osc))
-    _emit(args, cfg, list(RUN_COLUMNS), list(zip(*rows)) or [[]] * len(RUN_COLUMNS))
+    _emit(sc.output, list(RUN_COLUMNS), list(zip(*rows)) or [[]] * len(RUN_COLUMNS))
     return 0
 
 
 def cmd_steady(args) -> int:
-    cfg, osc, diff, temp, _ = _scenario(args)
-    window = _window(cfg, osc, args)
-    state = propagator.steady_state(osc, diff)
+    sc = _scenario(args)
+    state = propagator.steady_state(sc.osc, sc.diff)
     scalars = entropy.derived_scalars(
-        osc, state, diff=diff, window=window, thermal_temperature=temp
+        sc.osc, state, diff=sc.diff, window=sc.window, thermal_temperature=sc.temperature
     )
-    row = _run_row("inf", state, scalars, osc)
-    _emit(args, cfg, list(RUN_COLUMNS), [[v] for v in row])
+    row = _run_row("inf", state, scalars, sc.osc)
+    _emit(sc.output, list(RUN_COLUMNS), [[v] for v in row])
     return 0
 
 
@@ -355,67 +390,58 @@ def _check_grid_flags(args) -> None:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= 2, got {size}")
 
 
-def _state_at(osc, diff, state0, t: float) -> GaussianState:
+def _state_at(sc: Scenario, t: float) -> GaussianState:
     if t == 0:
-        return state0
-    return propagator.evolve(osc, diff, state0, t)
+        return sc.state0
+    return propagator.evolve(sc.osc, sc.diff, sc.state0, t)
 
 
 def cmd_wigner_grid(args) -> int:
     _check_grid_flags(args)
-    cfg, osc, diff, _, state0 = _scenario(args)
-    state = _state_at(osc, diff, state0, args.time)
+    sc = _scenario(args)
     grid = phasespace.wigner_grid(
-        state, n_q=args.n_q, n_p=args.n_p, width_sigmas=args.width_sigmas
+        _state_at(sc, args.time), n_q=args.n_q, n_p=args.n_p, width_sigmas=args.width_sigmas
     )
-    _emit_grid(args, cfg, grid)
+    _emit_grid(sc, grid)
     return 0
 
 
 def cmd_husimi_grid(args) -> int:
     _check_grid_flags(args)
-    cfg, osc, diff, _, state0 = _scenario(args)
-    state = _state_at(osc, diff, state0, args.time)
-    window = _window(cfg, osc, args)
+    sc = _scenario(args)
     grid = phasespace.husimi_grid(
-        state, window, n_q=args.n_q, n_p=args.n_p, width_sigmas=args.width_sigmas
+        _state_at(sc, args.time), sc.window,
+        n_q=args.n_q, n_p=args.n_p, width_sigmas=args.width_sigmas,
     )
-    _emit_grid(args, cfg, grid)
+    _emit_grid(sc, grid)
     return 0
 
 
-def _emit_grid(args, cfg, grid: phasespace.PhaseSpaceGrid) -> None:
-    _emit(args, cfg, ["q", "p", "value"], [grid.values], [f"measure={grid.measure}"],
+def _emit_grid(sc: Scenario, grid: phasespace.PhaseSpaceGrid) -> None:
+    _emit(sc.output, ["q", "p", "value"], [grid.values], [f"measure={grid.measure}"],
           axes=(grid.q_axis, grid.p_axis))
 
 
 def cmd_kernel(args) -> int:
     _check_grid_flags(args)
-    cfg, osc, diff, _, state0 = _scenario(args)
-    state = _state_at(osc, diff, state0, args.time)
+    sc = _scenario(args)
+    state = _state_at(sc, args.time)
     half = args.width_sigmas * math.sqrt(state.sigma_qq)
     axis = np.linspace(state.sigma_q - half, state.sigma_q + half, args.n_x)
-    value = phasespace.density_kernel_at(state, axis[:, None], axis[None, :], hbar=osc.hbar)
-    _emit(args, cfg, ["x", "y", "re", "im"], [value.real, value.imag], axes=(axis, axis))
+    value = phasespace.density_kernel_at(state, axis[:, None], axis[None, :], hbar=sc.osc.hbar)
+    _emit(sc.output, ["x", "y", "re", "im"], [value.real, value.imag], axes=(axis, axis))
     return 0
 
 
+# purity-scan column headers, by purity_table key
+_PURITY_HEADER = {"sigma_det": "sigma", **{n: f"res_{n}" for n in purity.RESIDUALS}}
+
+
 def cmd_purity_scan(args) -> int:
-    cfg, osc, diff, _, state0 = _scenario(args)
-    times = build_times(cfg)
-    reports = purity.purity_scan(osc, diff, state0, times)
-    residual_names = (
-        "diffusion_determinant", "mixed_balance", "cross_balance",
-        "constant_sigma_qq", "constant_sigma_pp", "constant_sigma_pq",
-    )
-    header = ["t", "sigma", "gamma", "r", "is_pure", "preserving"] + [
-        f"res_{n}" for n in residual_names
-    ]
-    fields = ("t", "sigma_det", "gamma", "r", "is_pure", "preserving")
-    columns = [[getattr(rep, f) for rep in reports] for f in fields] + [
-        [rep.conditions.get(n, math.nan) for rep in reports] for n in residual_names
-    ]
-    _emit(args, cfg, header, columns)
+    sc = _scenario(args, times=True)
+    traj = propagator.sample_trajectory(sc.osc, sc.diff, sc.state0, sc.times)
+    table = purity.purity_table(sc.osc, sc.diff, traj)
+    _emit(sc.output, [_PURITY_HEADER.get(k, k) for k in table], list(table.values()))
     return 0
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .phasespace import CoherentWindow, husimi_grid, smoothed_covariance_det
 from .propagator import GaussianState, require_physical
 
 
-@dataclass(frozen=True)
-class DerivedScalars:
+class DerivedScalars(NamedTuple):
     """Scalar diagnostics attached to one trajectory sample."""
 
     sigma_det: float

@@ -7,9 +7,12 @@ oscillator itself rejects overdamped parameters at construction.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -31,8 +34,15 @@ RTOL = 1e-10
 AGREE_RTOL = 1e-9
 
 
-def negligible(residual, *scales, rtol: float = RTOL) -> bool:
-    """Whether |residual| <= rtol * the largest |scale| (at least 1e-300)."""
+def negligible(residual, *scales, rtol: float = RTOL):
+    """Whether |residual| <= rtol * the largest |scale| (at least 1e-300).
+
+    A bool for a scalar residual.  For a numpy array residual the test is
+    elementwise, with scalar and array scales broadcast against it.
+    """
+    if isinstance(residual, np.ndarray):
+        largest = functools.reduce(np.maximum, map(np.abs, scales), 1e-300)
+        return np.abs(residual) <= rtol * largest
     return abs(residual) <= rtol * max([1e-300, *map(abs, scales)])
 
 

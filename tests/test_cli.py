@@ -1,4 +1,3 @@
-import argparse
 import csv
 import hashlib
 import json
@@ -532,12 +531,12 @@ def test_emit_axes_match_expanded_columns(capsys, fmt):
     values = np.arange(15, dtype=float).reshape(5, 3) - 7
     values[1, 2] = math.nan
     flags = np.arange(15).reshape(5, 3) % 2 == 0
-    args = argparse.Namespace(format=fmt, out=None)
+    output = (fmt, None)
     header = ["q", "p", "value", "flag"]
-    cli._emit(args, {}, header, [values, flags], ["measure=test"], axes=(q, p))
+    cli._emit(output, header, [values, flags], ["measure=test"], axes=(q, p))
     with_axes = capsys.readouterr().out
     expanded = [np.repeat(q, 3), np.tile(p, 5), values.ravel(), flags.ravel()]
-    cli._emit(args, {}, header, expanded, ["measure=test"])
+    cli._emit(output, header, expanded, ["measure=test"])
     assert with_axes == capsys.readouterr().out
     if fmt == "csv":
         assert with_axes.splitlines()[2:5] == [
@@ -579,18 +578,18 @@ JSON_CASES = {
 @pytest.mark.parametrize("case", JSON_CASES)
 def test_emit_json_matches_json_dumps(capsys, case):
     header, columns, comments, axes = JSON_CASES[case]
-    args = argparse.Namespace(format="json", out=None)
-    cli._emit(args, {}, header, columns, comments, axes=axes)
+    output = ("json", None)
+    cli._emit(output, header, columns, comments, axes=axes)
     assert capsys.readouterr().out == _json_reference(header, columns, comments, axes)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf])
 def test_emit_rejects_infinite_values(capsys, fmt, bad):
-    args = argparse.Namespace(format=fmt, out=None)
+    output = (fmt, None)
     columns = [[0.0, 1.0], [math.nan, bad]]
     with pytest.raises(ConsistencyError, match="output column t_eff holds an infinite value"):
-        cli._emit(args, {}, ["t", "t_eff"], columns)
+        cli._emit(output, ["t", "t_eff"], columns)
     assert capsys.readouterr().out == ""
 
 
@@ -632,3 +631,65 @@ def test_unwritable_output_path_exits_one(tmp_path):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: cannot write output: ")
     assert "Traceback" not in proc.stderr and not out.exists()
+
+
+COMMANDS_WITH_CONFIG = [
+    "validate", "evolve", "steady", "purity-scan", "wigner-grid", "husimi-grid", "kernel",
+]
+# Blocks every command reads before it propagates; validate, evolve and
+# purity-scan also read the times block.
+BAD_BLOCKS = {
+    "times": ({"list": "x"}, "times.list"),
+    "window": (5, "window must be an object"),
+    "output": ({"format": 5}, "output.format"),
+}
+
+
+@pytest.fixture
+def no_propagation(monkeypatch):
+    """Make every propagation and phase-space evaluation fail the test."""
+    def called(*args, **kwargs):
+        raise AssertionError("scenario errors must be reported before any propagation")
+
+    from lindosc import phasespace, propagator
+    for module, name in ((phasespace, "wigner_grid"), (phasespace, "husimi_grid"),
+                         (phasespace, "density_kernel_at"), (propagator, "evolve"),
+                         (propagator, "sample_trajectory"), (propagator, "steady_state")):
+        monkeypatch.setattr(module, name, called)
+
+
+def _main_error(capsys, argv):
+    """(exit code, stdout, the lines on stderr) of an in-process run."""
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err.splitlines()
+
+
+@pytest.mark.parametrize("command", COMMANDS_WITH_CONFIG)
+def test_malformed_scenario_rejected_before_propagation(tmp_path, capsys, no_propagation,
+                                                        command):
+    conf = gibbs_config(**{block: value for block, (value, _) in BAD_BLOCKS.items()})
+    code, out, err = _main_error(capsys, [command, "--config", write_config(tmp_path, conf)])
+    assert (code, out, err) == (
+        1, "", ["error: output.format must be a string, got 5"]
+    )
+
+
+@pytest.mark.parametrize("block,command", [
+    (block, command) for block in sorted(BAD_BLOCKS) for command in COMMANDS_WITH_CONFIG
+    if block != "times" or command in ("validate", "evolve", "purity-scan")
+])
+def test_each_malformed_block_names_its_key(tmp_path, capsys, no_propagation, block, command):
+    value, key = BAD_BLOCKS[block]
+    conf = gibbs_config(**{block: value})
+    code, out, err = _main_error(capsys, [command, "--config", write_config(tmp_path, conf)])
+    assert (code, out, len(err)) == (1, "", 1)
+    assert err[0].startswith("error: ") and key in err[0]
+
+
+def test_unknown_output_format_names_the_key(tmp_path, capsys, no_propagation):
+    conf = gibbs_config(output={"format": "xml"})
+    code, out, err = _main_error(capsys, ["wigner-grid", "--config",
+                                          write_config(tmp_path, conf)])
+    assert (code, out) == (1, "")
+    assert err == ["error: output.format must be 'csv' or 'json', got 'xml'"]

@@ -17,6 +17,7 @@ from lindosc import (
     steady_state,
 )
 from lindosc.entropy import (
+    DerivedScalars,
     derived_scalars,
     effective_temperature,
     entropy_from_temperature,
@@ -299,3 +300,17 @@ def test_derived_scalars_of_pure_state_is_silent(state):
     )
     with pytest.warns(UserWarning, match="pure state"):
         assert effective_temperature(osc, state) == 0.0
+
+
+def test_derived_scalars_is_an_immutable_named_tuple():
+    assert DerivedScalars._fields == (
+        "sigma_det", "nu", "s_vn", "gamma", "s_lin", "wehrl", "energy",
+        "t_eff", "s_lin_rate",
+    )
+    assert DerivedScalars._field_defaults == {"t_eff": None, "s_lin_rate": None}
+    osc = OscillatorSpec(mass=1, omega=1, lam=0.2)
+    scalars = derived_scalars(osc, ground_state(osc))
+    assert scalars.t_eff is None and scalars.s_lin_rate is None
+    with pytest.raises(AttributeError):
+        scalars.gamma = 0.5
+    assert scalars._replace(gamma=0.5).gamma == 0.5 and scalars.gamma == 1.0

@@ -208,3 +208,29 @@ def test_preset_pure_state_saturates_determinant(rng):
         diff = preset_pure_state(osc)
         margin = determinant_margin(diff, osc.lam, osc.hbar)
         assert abs(margin) <= 1e-14 * diff.d_pp * diff.d_qq
+
+
+def test_negligible_scalar_call_returns_bool():
+    assert negligible(1e-11, -1.0) is True
+    assert negligible(1e-9, -1.0) is False
+    assert negligible(0.0) is True
+
+
+def test_negligible_elementwise_matches_scalar_calls(rng):
+    n = 400
+    scale_a = rng.standard_normal(n) * np.exp(rng.uniform(-20, 20, n))
+    scale_a[:10] = 0.0
+    residual = scale_a * rng.uniform(-2e-10, 2e-10, n)
+    residual[10:20] = RTOL * np.abs(scale_a[10:20])  # on the inclusive boundary
+    residual[20:30] = np.nextafter(residual[10:20], 1.0)
+    residual[:5] = 0.0
+    residual[30] = math.nan
+    scale_b = 1e-3
+    for rtol in (RTOL, 1e-9):
+        got = negligible(residual, scale_a, scale_b, rtol=rtol)
+        assert got.dtype == bool and got.shape == (n,)
+        expected = [negligible(r, a, scale_b, rtol=rtol)
+                    for r, a in zip(residual.tolist(), scale_a.tolist())]
+        assert got.tolist() == expected
+    assert 0 < negligible(residual, scale_a).sum() < n
+    assert negligible(np.zeros(3)).all()

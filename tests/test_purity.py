@@ -14,14 +14,17 @@ from lindosc import (
     steady_state,
 )
 from lindosc.entropy import fluctuation_energy
+from lindosc.propagator import sample_trajectory
 from lindosc.purity import (
+    RESIDUALS,
     check_pure_preserving,
     correlation_coefficient,
     identify_ccs,
     purity_scan,
+    purity_table,
 )
 
-from conftest import random_oscillator
+from conftest import random_diffusion, random_oscillator, random_state
 
 
 def test_correlation_coefficient_basic():
@@ -176,3 +179,50 @@ def test_preserving_equivalences(rng):
         assert abs(report.conditions["constant_sigma_qq"]) < 1e-12
         assert abs(report.conditions["constant_sigma_pp"]) < 1e-12
         assert abs(report.conditions["constant_sigma_pq"]) < 1e-12
+
+
+def _table_scenario(rng, kind):
+    """(osc, diff, start state) of one draw of a purity_table scenario."""
+    if kind == "lam_zero":
+        osc = random_oscillator(rng, lam_range=(0.0, 0.0))
+        return osc, random_diffusion(rng, osc), random_state(rng)
+    if kind == "gibbs":
+        osc = random_oscillator(rng, lam_range=(0.1, 0.3), mu_frac=0.05)
+        return osc, preset_gibbs(osc, rng.uniform(0.2, 3.0)), random_state(rng)
+    osc = random_oscillator(rng, mu_frac=0.8)
+    diff = preset_pure_state(osc)
+    steady = steady_state(osc, diff)
+    start = GaussianState(rng.normal(), rng.normal(),
+                          steady.sigma_qq, steady.sigma_pp, steady.sigma_pq)
+    return osc, diff, start
+
+
+@pytest.mark.parametrize("kind", ["lam_zero", "pure", "gibbs"])
+def test_purity_table_equals_reports_row_by_row(rng, kind):
+    flags = np.zeros(2, dtype=int)
+    for _ in range(8):
+        osc, diff, start = _table_scenario(rng, kind)
+        traj = sample_trajectory(osc, diff, start, np.linspace(0, 40, 41))
+        table = purity_table(osc, diff, traj)
+        reports = [check_pure_preserving(osc, diff, state) for state in traj.states()]
+        assert list(table) == ["t", "sigma_det", "gamma", "r", "is_pure", "preserving",
+                               *RESIDUALS]
+        for field in ("t", "sigma_det", "gamma", "r", "is_pure", "preserving"):
+            expected = np.array([getattr(rep, field) for rep in reports])
+            assert table[field].dtype == expected.dtype
+            np.testing.assert_array_equal(table[field], expected, strict=True)
+        for name in RESIDUALS:
+            expected = np.array([rep.conditions.get(name, math.nan) for rep in reports])
+            np.testing.assert_array_equal(table[name], expected, strict=True)
+        flags += table["is_pure"].any(), table["preserving"].any()
+    # the pure preset keeps a pure start pure and preserving; the others never are
+    assert flags.tolist() == ([8, 8] if kind == "pure" else [0, 0])
+    if kind == "lam_zero":
+        assert np.isnan(table["constant_sigma_qq"]).all()
+
+
+def test_purity_table_of_empty_trajectory():
+    osc = OscillatorSpec(mass=1, omega=1, lam=0.2, mu=0.1)
+    diff = preset_gibbs(osc, temperature=1.5)
+    table = purity_table(osc, diff, sample_trajectory(osc, diff, ground_state(osc), []))
+    assert all(column.shape == (0,) for column in table.values())
