@@ -5,16 +5,29 @@ exit code and the SHA-256 and length of its stdout with the values in
 GOLDEN.  A refactor of the output path must keep every case green without
 touching GOLDEN; a deliberate output change updates GOLDEN and says so in
 CHANGES.md.
+
+The digests pin numpy's generic float64 kernels, not those of one host CPU:
+all cases run in one subprocess (this file run as a script) with the
+AVX-512 kernels disabled through NPY_DISABLE_CPU_FEATURES, so that exp, log,
+sin and cos round alike with and without AVX-512.
 """
 import contextlib
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from lindosc import cli
+
+# numpy's AVX-512 float64 kernels differ from the generic ones in the last bit.
+CPU_PIN = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 SCENARIOS = {
     # ROADMAP baseline with a short explicit time list and a squeezed window.
@@ -64,35 +77,35 @@ COMMANDS = {
 GOLDEN = {
     ('baseline', 'evolve', 'csv'): (0, '7bfeb2e2c13049416af5e25de5e84cf5976da8622a077d99e9b606cc63fe5d92', 1393),
     ('baseline', 'evolve', 'json'): (0, '41c9e134f517064192ae28e9fdec8ecd69e2b2ae486bdde2014c93a2196c3dc4', 2361),
-    ('baseline', 'husimi-grid', 'csv'): (0, '11e327c8d592cc24502d77d6c8dc7478524e9a54efd75443986d5ffd5c389db7', 11919),
-    ('baseline', 'husimi-grid', 'json'): (0, 'd8ea5e341760b6b114ff839ae2310b5e61061536eca1a3fad3398e9bf02803fe', 19097),
+    ('baseline', 'husimi-grid', 'csv'): (0, '742cbd84c11f0443bb227f97ac552b59851f3895955b59d121a1ac8796527b47', 11919),
+    ('baseline', 'husimi-grid', 'json'): (0, '2693e431067a525af209a5288deea1f8b5ec4453952e40351bb4f189c9970fa9', 19096),
     ('baseline', 'kernel', 'csv'): (0, 'ca6ca9c4e475f9c6fd436d5cd364f13436126d7adcd4d481befb8b7aaa92ad97', 6667),
     ('baseline', 'kernel', 'json'): (0, '935afc627bde1cf15ad76f2ce8576f00dfce0f89d829fcf384175a95557056df', 10239),
     ('baseline', 'purity-scan', 'csv'): (0, 'ee09e66111b1666e1ebbbd639c57f86c2f1e3a55617806d8c5f211fd84f74bf6', 1153),
     ('baseline', 'purity-scan', 'json'): (0, '372a4ed3704c817b5f43f8c1f3fa02adae2a9e9edd8f7f4b0ca51b7ed97aff55', 2264),
     ('baseline', 'steady', 'csv'): (0, 'a1e69861f69cb8698ba0efbf019f87e0acb42449ca713b00a9445014e1e76ed2', 344),
     ('baseline', 'steady', 'json'): (0, 'b3e6d4139647f781de62d0f1cd43443c512fb5b7b0942bae233bb2468e1cc467', 476),
-    ('baseline', 'wigner-grid', 'csv'): (0, '9887c58182a407def515d4545442b2d001ca330a7ffc63bbf5ced95b379276cb', 11880),
-    ('baseline', 'wigner-grid', 'json'): (0, '8a0ac3ea516b36b5cd1851aed09241d53def5dbfc42983f847ed9b1a066b8c21', 19034),
+    ('baseline', 'wigner-grid', 'csv'): (0, '72988a13a1b80d182d438c6a81eaf0a2e0c8cfbdd0e0ccf310e68cb7d7aa2c41', 11881),
+    ('baseline', 'wigner-grid', 'json'): (0, 'd15d803663126ce10c138503e59db854d15ff7c7d9ec82f56f47d42ef48a3ff9', 19036),
     ('ops_free', 'evolve', 'csv'): (0, 'dbd2d6c1f069a2c1920c75fc62ebb1e22e9fdf1fb9e6494e05e0d6b422a73613', 2030),
     ('ops_free', 'evolve', 'json'): (0, 'e03f9808c29b9e4f0405c6805c17c6b453cc8aaf13f9a7638368bcf932318ac2', 3387),
-    ('ops_free', 'husimi-grid', 'csv'): (0, 'efbbd67d2b214551097c3fd48490f47ff2c77f97b8b57a196c370a7a57362a3f', 11826),
-    ('ops_free', 'husimi-grid', 'json'): (0, '6962ecc94ae98568849b13dc59743da1ef7b223ff849694460797d4982c2debb', 19047),
+    ('ops_free', 'husimi-grid', 'csv'): (0, '91be189c5a49fc4048b26d774c8172dc56e52b60ea09ebb756348f80da8c41f1', 11825),
+    ('ops_free', 'husimi-grid', 'json'): (0, 'dadeaaaac619ae65196b641eb1d6f60b4800997f2dd2c4120d1fe3a18f4b1c32', 19045),
     ('ops_free', 'kernel', 'csv'): (0, '04c30dd3ed6ce476a5878f2495221670a0d260ddd280c96c92e01fc2124a1b82', 6680),
     ('ops_free', 'kernel', 'json'): (0, '8e55c17de01fa02d62733604def71ab84db79c77621cbb17f1572df2fbbfcb37', 10302),
     ('ops_free', 'purity-scan', 'csv'): (0, '1b7c1c197326a94cf12cbf5dc82ae45748bf65b01bb40ec00c208246c6a97b30', 1218),
     ('ops_free', 'purity-scan', 'json'): (0, '7d925ba6386a66567d5c6c6d0e8dcb2f97a59ed909cae74accf432a369193a16', 2878),
     ('ops_free', 'steady', 'csv'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0),
     ('ops_free', 'steady', 'json'): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0),
-    ('ops_free', 'wigner-grid', 'csv'): (0, 'e90e1d5822535ee9532ae43676d8df7d8955c5d57595e344459d0372e96663c9', 11853),
-    ('ops_free', 'wigner-grid', 'json'): (0, '2889ba0a4f93943f69832472e49546e2ad8e518289953bc26763cbc40f47c919', 19089),
+    ('ops_free', 'wigner-grid', 'csv'): (0, 'fff64b2ba7794c01a0a74ada27e04c46b585940a40ef404c74ea5b0e41c8b1d6', 11852),
+    ('ops_free', 'wigner-grid', 'json'): (0, '12e41da5380bd37ac4bfb14a8b7c601928a5c2a7c59143526815e9bd2267d73e', 19087),
     ('pure', 'purity-scan', 'csv'): (0, '62bf2dbebe77b84ec1e3c6072d4ebe194394ae477341df2504c257873d98db16', 1154),
     ('pure', 'purity-scan', 'json'): (0, '4cb8493c8e53090cc7b0ae1071d07a619b87ad7db625730e170c131a4c6c11fb', 3271),
 }
 
 
-def run(tmp_path, scenario: str, command: str, fmt: str):
-    config = tmp_path / f"{scenario}.json"
+def run(directory: Path, scenario: str, command: str, fmt: str):
+    config = directory / f"{scenario}.json"
     config.write_text(json.dumps(SCENARIOS[scenario]))
     argv = [*COMMANDS[command][:1], "--config", str(config), "--format", fmt,
             *COMMANDS[command][1:]]
@@ -103,9 +116,44 @@ def run(tmp_path, scenario: str, command: str, fmt: str):
     return code, hashlib.sha256(data).hexdigest(), len(data)
 
 
+def pinned_cpu_features() -> dict:
+    """Whether numpy reports each pinned feature as in use."""
+    import numpy as np
+
+    features = np._core._multiarray_umath.__cpu_features__
+    return {name: features[name] for name in CPU_PIN}
+
+
+def run_all_cases() -> dict:
+    """What this file prints when run as a script: the pinned features and
+    (exit code, stdout SHA-256, stdout bytes) of every GOLDEN case."""
+    features = pinned_cpu_features()
+    assert not any(features.values()), f"CPU pin not in effect: {features}"
+    with tempfile.TemporaryDirectory() as directory:
+        cases = {"|".join(case): run(Path(directory), *case) for case in sorted(GOLDEN)}
+    return {"features": features, "cases": cases}
+
+
+@pytest.fixture(scope="module")
+def pinned_run():
+    """run_all_cases in a fresh interpreter with the CPU pin set."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(CPU_PIN),
+           "PYTHONPATH": os.pathsep.join(filter(None, [package_root,
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, __file__], capture_output=True, text=True,
+                          env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cpu_pin_in_effect(pinned_run):
+    assert pinned_run["features"] == dict.fromkeys(CPU_PIN, False)
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids="-".join)
-def test_stdout_matches_golden(tmp_path, case):
-    assert run(tmp_path, *case) == GOLDEN[case]
+def test_stdout_matches_golden(pinned_run, case):
+    assert tuple(pinned_run["cases"]["|".join(case)]) == GOLDEN[case]
 
 
 def test_every_emitting_command_is_frozen():
@@ -117,3 +165,7 @@ def test_every_emitting_command_is_frozen():
     }
     cases |= {("pure", "purity-scan", fmt) for fmt in ("csv", "json")}
     assert set(GOLDEN) == cases
+
+
+if __name__ == "__main__":
+    json.dump(run_all_cases(), sys.stdout)
