@@ -37,8 +37,8 @@ AGREE_RTOL = 1e-9
 def negligible(residual, *scales, rtol: float = RTOL):
     """Whether |residual| <= rtol * the largest |scale| (at least 1e-300).
 
-    A bool for a scalar residual.  For a numpy array residual the test is
-    elementwise, with scalar and array scales broadcast against it.
+    For a numpy array residual the test is elementwise, with scalar and
+    array scales broadcast against it; a Python float residual gives a bool.
     """
     if isinstance(residual, np.ndarray):
         largest = functools.reduce(np.maximum, map(np.abs, scales), 1e-300)
