@@ -309,35 +309,38 @@ class Scenario(NamedTuple):
     diff: DiffusionSpec
     temperature: float | None  # bath temperature of the thermal preset
     report: model.ConstraintReport
-    state0: GaussianState
+    state0: GaussianState | None
     output: tuple[str, str | None]
     window: CoherentWindow
     times: list[float] | None
 
 
-def _read_scenario(args, times: bool | None) -> Scenario:
-    """Every block a command uses, read before any propagation, so that a
-    malformed value exits 1 before any work is done.
+def _read_scenario(args, required: tuple[str, ...] = ()) -> Scenario:
+    """Every block of the scenario file, with its flags, read and checked
+    before any propagation, so that a malformed value exits 1 before any
+    work is done.
 
-    The times block is read when `times` is true, skipped when it is false
-    and read if present when it is None.
+    The initial_state and times blocks are read when present or named in
+    `required`, and are None otherwise.
     """
     cfg = _load_config(args.config)
     osc = build_oscillator(cfg, args.hbar)
     diff, temp = build_diffusion(cfg, osc)
+    blocks = {*cfg, *required}
     return Scenario(
         osc, diff, temp, model.validate(diff, osc),
-        state0=build_initial_state(cfg, osc),
+        state0=build_initial_state(cfg, osc) if "initial_state" in blocks else None,
         output=_output(cfg, args),
         window=_window(cfg, osc, args),
-        times=build_times(cfg) if times or (times is None and "times" in cfg) else None,
+        times=build_times(cfg) if "times" in blocks else None,
     )
 
 
-def _scenario(args, times: bool = False) -> Scenario:
-    """The scenario of a propagating command; inadmissible diffusion
-    coefficients are a ConfigError."""
-    scenario = _read_scenario(args, times)
+def _scenario(args, *required: str) -> Scenario:
+    """The scenario of a propagating command, which needs the initial state
+    and the `required` blocks; inadmissible diffusion coefficients are a
+    ConfigError."""
+    scenario = _read_scenario(args, ("initial_state", *required))
     failed = scenario.report.failed()
     if failed:
         raise ConfigError("inadmissible diffusion coefficients: " + ", ".join(
@@ -346,7 +349,7 @@ def _scenario(args, times: bool = False) -> Scenario:
 
 
 def cmd_validate(args) -> int:
-    report = _read_scenario(args, times=None).report
+    report = _read_scenario(args).report
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"constraint {check.name}: {status} (margin={check.margin:.17g})")
@@ -354,7 +357,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    sc = _scenario(args, times=True)
+    sc = _scenario(args, "times")
     osc, diff, temp = sc.osc, sc.diff, sc.temperature
     rows = []
     traj = propagator.sample_trajectory(osc, diff, sc.state0, sc.times, thermal_temperature=temp)
@@ -438,7 +441,7 @@ _PURITY_HEADER = {"sigma_det": "sigma", **{n: f"res_{n}" for n in purity.RESIDUA
 
 
 def cmd_purity_scan(args) -> int:
-    sc = _scenario(args, times=True)
+    sc = _scenario(args, "times")
     traj = propagator.sample_trajectory(sc.osc, sc.diff, sc.state0, sc.times)
     table = purity.purity_table(sc.osc, sc.diff, traj)
     _emit(sc.output, [_PURITY_HEADER.get(k, k) for k in table], list(table.values()))

@@ -40,11 +40,17 @@ def correlation_coefficient(state: GaussianState) -> float:
     return state.sigma_pq / math.sqrt(state.sigma_qq * state.sigma_pp)
 
 
+def _pure(sigma_det, hbar: float):
+    """Whether det sigma saturates hbar**2/4 up to rounding; a bool for a
+    float, elementwise for a numpy array."""
+    target = hbar**2 / 4
+    return negligible(sigma_det - target, target)
+
+
 def identify_ccs(state: GaussianState, hbar: float = 1.0) -> CCSpec | None:
     """Reconstruct the unique correlated coherent state matching a
     minimum-uncertainty Gaussian; None for mixed states."""
-    target = hbar**2 / 4
-    if not negligible(state.uncertainty_det - target, target):
+    if not _pure(state.uncertainty_det, hbar):
         return None
     eta = math.sqrt(state.sigma_qq)
     r = correlation_coefficient(state)
@@ -131,7 +137,6 @@ def purity_table(
     s_qq, s_pp, s_pq = (column(states, f"sigma_{ab}") for ab in ("qq", "pp", "pq"))
     scalars = [sc for _, sc in trajectory]
     sigma = column(scalars, "sigma_det")
-    target = osc.hbar**2 / 4
     residuals = _residuals(osc, diff, s_qq, s_pp, s_pq)
     preserving = np.full(n, osc.lam > 0)
     for _, res, scales in residuals:
@@ -142,7 +147,7 @@ def purity_table(
         "sigma_det": sigma,
         "gamma": column(scalars, "gamma"),
         "r": s_pq / np.sqrt(s_qq * s_pp),
-        "is_pure": negligible(sigma - target, target),
+        "is_pure": _pure(sigma, osc.hbar),
         "preserving": preserving,
         **{name: np.full(n, conditions.get(name, math.nan)) for name in RESIDUALS},
     }

@@ -636,8 +636,7 @@ def test_unwritable_output_path_exits_one(tmp_path):
 COMMANDS_WITH_CONFIG = [
     "validate", "evolve", "steady", "purity-scan", "wigner-grid", "husimi-grid", "kernel",
 ]
-# Blocks every command reads before it propagates; validate, evolve and
-# purity-scan also read the times block.
+# Blocks every command reads, when present, before it propagates.
 BAD_BLOCKS = {
     "times": ({"list": "x"}, "times.list"),
     "window": (5, "window must be an object"),
@@ -677,7 +676,6 @@ def test_malformed_scenario_rejected_before_propagation(tmp_path, capsys, no_pro
 
 @pytest.mark.parametrize("block,command", [
     (block, command) for block in sorted(BAD_BLOCKS) for command in COMMANDS_WITH_CONFIG
-    if block != "times" or command in ("validate", "evolve", "purity-scan")
 ])
 def test_each_malformed_block_names_its_key(tmp_path, capsys, no_propagation, block, command):
     value, key = BAD_BLOCKS[block]
@@ -685,6 +683,41 @@ def test_each_malformed_block_names_its_key(tmp_path, capsys, no_propagation, bl
     code, out, err = _main_error(capsys, [command, "--config", write_config(tmp_path, conf)])
     assert (code, out, len(err)) == (1, "", 1)
     assert err[0].startswith("error: ") and key in err[0]
+
+
+def _without(*blocks):
+    conf = gibbs_config()
+    for block in blocks:
+        del conf[block]
+    return conf
+
+
+@pytest.mark.parametrize("blocks", [("initial_state",), ("times",), ("initial_state", "times")])
+def test_validate_reports_without_an_absent_block(tmp_path, blocks):
+    proc = run_cli("validate", "--config", write_config(tmp_path, _without(*blocks)))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines() == run_cli(
+        "validate", "--config", write_config(tmp_path, gibbs_config(), "full.json")
+    ).stdout.splitlines()
+
+
+@pytest.mark.parametrize("block,commands,key", [
+    ("initial_state", COMMANDS_WITH_CONFIG[1:], "initial_state"),
+    ("times", ["evolve", "purity-scan"], "times.n_samples"),
+])
+def test_command_that_needs_a_block_rejects_its_absence(tmp_path, capsys, no_propagation,
+                                                        block, commands, key):
+    config = write_config(tmp_path, _without(block))
+    for command in commands:
+        assert _main_error(capsys, [command, "--config", config]) == (
+            1, "", [f"error: missing {key}"])
+
+
+@pytest.mark.parametrize("command", ["steady", "wigner-grid", "husimi-grid", "kernel"])
+def test_command_runs_without_a_times_block(tmp_path, capsys, command):
+    config = write_config(tmp_path, _without("times"))
+    code, out, err = _main_error(capsys, [command, "--config", config])
+    assert (code, err) == (0, []) and out
 
 
 def test_unknown_output_format_names_the_key(tmp_path, capsys, no_propagation):

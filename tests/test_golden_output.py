@@ -9,7 +9,9 @@ CHANGES.md.
 The digests pin numpy's generic float64 kernels, not those of one host CPU:
 all cases run in one subprocess (this file run as a script) with the
 AVX-512 kernels disabled through NPY_DISABLE_CPU_FEATURES, so that exp, log,
-sin and cos round alike with and without AVX-512.
+sin and cos round alike with and without AVX-512.  The subprocess turns the
+warnings into errors that pytest does (pyproject.toml), so a case that warns
+fails the run.
 """
 import contextlib
 import hashlib
@@ -28,6 +30,8 @@ from lindosc import cli
 
 # numpy's AVX-512 float64 kernels differ from the generic ones in the last bit.
 CPU_PIN = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+# pytest's filterwarnings in pyproject.toml, as -W options.
+WARNINGS_AS_ERRORS = ("error::DeprecationWarning", "error::RuntimeWarning")
 
 SCENARIOS = {
     # ROADMAP baseline with a short explicit time list and a squeezed window.
@@ -134,17 +138,41 @@ def run_all_cases() -> dict:
     return {"features": features, "cases": cases}
 
 
-@pytest.fixture(scope="module")
-def pinned_run():
-    """run_all_cases in a fresh interpreter with the CPU pin set."""
+def pinned_python(*argv: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on `argv` with the CPU pin set and with
+    WARNINGS_AS_ERRORS."""
     package_root = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(CPU_PIN),
            "PYTHONPATH": os.pathsep.join(filter(None, [package_root,
                                                        os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, __file__], capture_output=True, text=True,
+    options = [f"-W{w}" for w in WARNINGS_AS_ERRORS]
+    return subprocess.run([sys.executable, *options, *argv], capture_output=True, text=True,
                           env=env, check=False)
+
+
+@pytest.fixture(scope="module")
+def pinned_run():
+    """run_all_cases in a fresh interpreter with the CPU pin set."""
+    proc = pinned_python(__file__)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("category", ["DeprecationWarning", "RuntimeWarning"])
+def test_warning_in_a_case_fails_the_pinned_run(category):
+    # This file as a script, with steady replaced by a command that warns.
+    script = (
+        "import runpy, warnings\n"
+        "from lindosc import cli\n"
+        "def cmd_steady(args):\n"
+        f"    warnings.warn('from a case', {category})\n"
+        "    return 0\n"
+        "cli.cmd_steady = cmd_steady\n"
+        f"runpy.run_path({__file__!r}, run_name='__main__')\n"
+    )
+    proc = pinned_python("-c", script)
+    assert proc.returncode != 0
+    assert f"{category}: from a case" in proc.stderr
 
 
 def test_cpu_pin_in_effect(pinned_run):
