@@ -46,6 +46,14 @@ def negligible(residual, *scales, rtol: float = RTOL):
     return abs(residual) <= rtol * max([1e-300, *map(abs, scales)])
 
 
+def saturates(value, hbar: float):
+    """Whether `value`, a covariance determinant, equals the uncertainty
+    floor hbar**2/4 up to rounding; a bool for a float, elementwise for a
+    numpy array."""
+    floor = hbar**2 / 4
+    return negligible(value - floor, floor)
+
+
 # Admissible magnitudes of hbar and boltzmann: their squares, and the
 # moments and diffusion coefficients they scale, stay finite and normal.
 UNIT_RANGE = (1e-100, 1e100)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import OscillatorSpec, ParameterError, negligible
+from .model import OscillatorSpec, ParameterError, saturates
 from .propagator import GaussianState
 
 MEASURE_PLAIN = "dqdp"
@@ -72,8 +72,7 @@ class CoherentWindow:
     def __post_init__(self):
         if not (self.s_qq > 0 and self.s_pp > 0):
             raise ParameterError("window variances must be positive")
-        target = self.hbar**2 / 4
-        if not negligible(self.s_qq * self.s_pp - target, target):
+        if not saturates(self.s_qq * self.s_pp, self.hbar):
             raise ParameterError(
                 f"window must satisfy s_qq*s_pp = hbar^2/4, got {self.s_qq * self.s_pp}"
             )

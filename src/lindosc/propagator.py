@@ -22,6 +22,7 @@ from .model import (
     OscillatorSpec,
     ParameterError,
     negligible,
+    saturates,
 )
 
 
@@ -57,8 +58,7 @@ def require_physical(state: GaussianState, hbar: float) -> float:
     generalized uncertainty bound hbar**2/4."""
     det = state.uncertainty_det
     floor = hbar**2 / 4
-    margin = det - floor
-    if margin < 0 and not negligible(margin, floor):
+    if det < floor and not saturates(det, hbar):
         raise InvalidStateError(f"uncertainty determinant {det} below hbar^2/4={floor}")
     return det
 
@@ -317,6 +317,14 @@ def ode_oracle(
     return GaussianState(*y, t=state0.t + t)
 
 
+def _check_times(times: list) -> None:
+    """Reject a time grid with a negative or a non-increasing time."""
+    if any(t < 0 for t in times):
+        raise ParameterError("times must be >= 0")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ParameterError("times must be strictly increasing")
+
+
 def sample_trajectory(
     osc: OscillatorSpec,
     diff: DiffusionSpec,
@@ -330,10 +338,7 @@ def sample_trajectory(
     from .phasespace import CoherentWindow
 
     times = list(times)
-    if any(t < 0 for t in times):
-        raise ParameterError("times must be >= 0")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ParameterError("times must be strictly increasing")
+    _check_times(times)
     if not times:
         return Trajectory(entries=())
     t_arr = np.asarray(times, dtype=float)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .entropy import purity_gamma
-from .model import DiffusionSpec, OscillatorSpec, determinant_margin, negligible
+from .model import DiffusionSpec, OscillatorSpec, determinant_margin, negligible, saturates
 from .phasespace import CCSpec
 from .propagator import GaussianState, Trajectory, sample_trajectory
 
@@ -40,17 +40,10 @@ def correlation_coefficient(state: GaussianState) -> float:
     return state.sigma_pq / math.sqrt(state.sigma_qq * state.sigma_pp)
 
 
-def _pure(sigma_det, hbar: float):
-    """Whether det sigma saturates hbar**2/4 up to rounding; a bool for a
-    float, elementwise for a numpy array."""
-    target = hbar**2 / 4
-    return negligible(sigma_det - target, target)
-
-
 def identify_ccs(state: GaussianState, hbar: float = 1.0) -> CCSpec | None:
     """Reconstruct the unique correlated coherent state matching a
     minimum-uncertainty Gaussian; None for mixed states."""
-    if not _pure(state.uncertainty_det, hbar):
+    if not saturates(state.uncertainty_det, hbar):
         return None
     eta = math.sqrt(state.sigma_qq)
     r = correlation_coefficient(state)
@@ -147,7 +140,7 @@ def purity_table(
         "sigma_det": sigma,
         "gamma": column(scalars, "gamma"),
         "r": s_pq / np.sqrt(s_qq * s_pp),
-        "is_pure": _pure(sigma, osc.hbar),
+        "is_pure": saturates(sigma, osc.hbar),
         "preserving": preserving,
         **{name: np.full(n, conditions.get(name, math.nan)) for name in RESIDUALS},
     }

@@ -4,12 +4,25 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from lindosc import ConsistencyError, OscillatorSpec, cli, preset_gibbs, steady_state
+from lindosc import (
+    CoherentWindow,
+    ConsistencyError,
+    OscillatorSpec,
+    UnitSystem,
+    cli,
+    entropy,
+    preset_gibbs,
+    propagator,
+    steady_state,
+)
 from lindosc.entropy import von_neumann_entropy
+
+from conftest import random_diffusion, random_oscillator, random_state
 
 
 def run_cli(*argv, **kwargs):
@@ -726,3 +739,64 @@ def test_unknown_output_format_names_the_key(tmp_path, capsys, no_propagation):
                                           write_config(tmp_path, conf)])
     assert (code, out) == (1, "")
     assert err == ["error: output.format must be 'csv' or 'json', got 'xml'"]
+
+
+@pytest.mark.parametrize("times,message", [
+    ([-0.5, 1.0], "times must be >= 0"),
+    ([0.0, 1.0, 1.0], "times must be strictly increasing"),
+])
+@pytest.mark.parametrize("command", ["evolve", "wigner-grid"])
+def test_bad_time_grid_rejected_before_propagation(tmp_path, capsys, no_propagation,
+                                                   command, times, message):
+    config = write_config(tmp_path, _bad_times(list=times))
+    assert _main_error(capsys, [command, "--config", config]) == (1, "", [f"error: {message}"])
+
+
+def _diffusion_block(rng, source: str, osc: OscillatorSpec) -> dict:
+    """A scenario diffusion block of `source` for `osc`, drawn from `rng`."""
+    if source == "gibbs":
+        return {"preset": "gibbs", "temperature": rng.uniform(0.1, 5.0)}
+    if source == "pure":
+        return {"preset": "pure"}
+    if source == "ops":
+        # one random operator, rescaled so that its friction is osc.lam
+        a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        friction = -(a.conjugate() * b).imag
+        scale = math.sqrt(osc.lam / abs(friction))
+        a, b = a * scale, b * math.copysign(scale, friction)
+        return {"ops": [{"a": [a.real, a.imag], "b": [b.real, b.imag]}]}
+    diff = random_diffusion(rng, osc)
+    return {"d_qq": diff.d_qq, "d_pp": diff.d_pp, "d_pq": diff.d_pq}
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.3])
+@pytest.mark.parametrize("source", ["gibbs", "explicit", "ops", "pure"])
+def test_run_row_t_eff_is_the_effective_temperature(rng, source, hbar):
+    """evolve's t_eff is effective_temperature on every diffusion source, and
+    the bath-temperature route of derived_scalars on the thermal one."""
+    column = cli.RUN_COLUMNS.index("t_eff")
+    zero_nu = 0
+    for draw in range(20):
+        drawn = random_oscillator(rng, lam_range=(0.3, 0.9), mu_frac=0.25)
+        osc = OscillatorSpec(drawn.mass, drawn.omega, drawn.lam, drawn.mu, UnitSystem(hbar=hbar))
+        block = _diffusion_block(rng, source, osc)
+        diff = cli.build_diffusion({"diffusion": block}, osc)
+        state0 = random_state(rng, hbar, (0.0, 0.0) if draw % 2 else (0.0, 3.0))
+        window = CoherentWindow.matched(osc)
+        traj = propagator.sample_trajectory(osc, diff, state0, [0.0, 0.5, 5.0])
+        for state in traj.states():
+            scalars = entropy.derived_scalars(osc, state, diff=diff, window=window)
+            t_eff = cli._run_row(state.t, state, scalars, osc)[column]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert t_eff == entropy.effective_temperature(osc, state)
+            if source == "gibbs":
+                assert t_eff == entropy.derived_scalars(
+                    osc, state, diff=diff, window=window,
+                    thermal_temperature=block["temperature"],
+                ).t_eff
+            if scalars.nu == 0.0:
+                assert t_eff == 0.0
+                zero_nu += 1
+    # the pure starts reach nu = 0, where T(nu) takes its special case
+    assert zero_nu > 0

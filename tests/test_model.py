@@ -14,7 +14,7 @@ from lindosc import (
     preset_pure_state,
     validate,
 )
-from lindosc.model import RTOL, determinant_margin, negligible, pure_state_op
+from lindosc.model import RTOL, determinant_margin, negligible, pure_state_op, saturates
 
 from conftest import random_oscillator
 
@@ -234,3 +234,24 @@ def test_negligible_elementwise_matches_scalar_calls(rng):
         assert got.tolist() == expected
     assert 0 < negligible(residual, scale_a).sum() < n
     assert negligible(np.zeros(3)).all()
+
+    # saturates(det, hbar) is the same test against the floor hbar**2/4.
+    for hbar in (1.0, 0.3, 1e-40):
+        floor = hbar**2 / 4
+        det = floor * (1 + rng.uniform(-2e-10, 2e-10, n))
+        # the largest det whose excess over the floor is on the inclusive
+        # boundary, and the next float above it; det - floor is exact there
+        edge = floor * (1 + RTOL)
+        while edge - floor > RTOL * floor:
+            edge = math.nextafter(edge, 0.0)
+        while math.nextafter(edge, 1.0) - floor <= RTOL * floor:
+            edge = math.nextafter(edge, 1.0)
+        det[:3] = edge, math.nextafter(edge, 1.0), floor
+        det[3] = math.nan
+        got = saturates(det, hbar)
+        assert got.dtype == bool and got.shape == (n,)
+        expected = [negligible(d - floor, floor) for d in det.tolist()]
+        assert got.tolist() == expected == [saturates(d, hbar) for d in det.tolist()]
+        assert got[:4].tolist() == [True, False, True, False]
+        assert 0 < got.sum() < n
+        assert all(type(saturates(d, hbar)) is bool for d in det[:4].tolist())

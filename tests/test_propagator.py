@@ -253,10 +253,13 @@ def test_trajectory_empty():
 def test_trajectory_rejects_bad_times():
     osc = OscillatorSpec(mass=1, omega=1, lam=0.2)
     diff = preset_gibbs(osc, 1.0)
-    with pytest.raises(ParameterError):
-        sample_trajectory(osc, diff, ground_state(osc), [1.0, 0.5])
-    with pytest.raises(ParameterError):
-        sample_trajectory(osc, diff, ground_state(osc), [-1.0, 0.5])
+    for times, message in (
+        ([1.0, 0.5], "times must be strictly increasing"),
+        ([0.0, 1.0, 1.0], "times must be strictly increasing"),
+        ([-1.0, 0.5], "times must be >= 0"),
+    ):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            sample_trajectory(osc, diff, ground_state(osc), times)
 
 
 @pytest.mark.parametrize("t", [-1.0, -1e-300, math.nan])
