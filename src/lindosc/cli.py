@@ -2,9 +2,10 @@
 
 Scenario configuration is a flat JSON document with oscillator, diffusion,
 initial-state, times, window and output blocks; command-line flags override
-file values.  An invalid value is reported by its dotted key path.  All commands emit deterministic CSV (floats at 17 significant
-digits) or JSON (floats as their shortest round-trip repr).  Exit codes: 0
-success, 1 validation failure, 2 numerical-consistency failure.
+file values.  An invalid value is reported by its dotted key path.  All
+commands emit deterministic CSV (floats at 17 significant digits) or JSON
+(floats as their shortest round-trip repr).  Exit codes: 0 success, 1
+validation or command-line failure, 2 numerical-consistency failure.
 """
 from __future__ import annotations
 
@@ -197,11 +198,13 @@ def build_times(cfg: dict) -> list[float]:
 
 
 def _output(cfg: dict, args) -> tuple[str, str | None]:
-    """Output format and path: the --format and --out flags, else the output
-    block, else CSV on stdout.  The block is checked even when flags win."""
+    """Output format and path: the --format and --out flags where the command
+    has them, else the output block, else CSV on stdout.  The block is
+    checked even when flags win, and on every command."""
     fmt = _get(cfg, "output.format", "csv", str)
     path = _get(cfg, "output.path", None, str)
-    fmt, path = args.format or fmt, args.out or path
+    fmt = getattr(args, "format", None) or fmt
+    path = getattr(args, "out", None) or path
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output.format must be 'csv' or 'json', got {fmt!r}")
     return fmt, path
@@ -366,8 +369,10 @@ def cmd_steady(args) -> int:
     return 0
 
 
-def _check_grid_flags(args) -> None:
-    """Reject --time, --width-sigmas and grid sizes outside their domains."""
+def _grid_state(args) -> tuple[Scenario, GaussianState]:
+    """The scenario of a grid or kernel command and its state at --time;
+    --time, --width-sigmas and grid sizes outside their domains are a
+    ConfigError, raised before the scenario is read."""
     if not (math.isfinite(args.time) and args.time >= 0):
         raise ConfigError(f"--time must be finite and >= 0, got {args.time!r}")
     if not (math.isfinite(args.width_sigmas) and args.width_sigmas > 0):
@@ -376,32 +381,22 @@ def _check_grid_flags(args) -> None:
         size = getattr(args, name, 2)
         if size < 2:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= 2, got {size}")
-
-
-def _state_at(sc: Scenario, t: float) -> GaussianState:
-    if t == 0:
-        return sc.state0
-    return propagator.evolve(sc.osc, sc.diff, sc.state0, t)
+    sc = _scenario(args)
+    if args.time == 0:
+        return sc, sc.state0
+    return sc, propagator.evolve(sc.osc, sc.diff, sc.state0, args.time)
 
 
 def cmd_wigner_grid(args) -> int:
-    _check_grid_flags(args)
-    sc = _scenario(args)
-    grid = phasespace.wigner_grid(
-        _state_at(sc, args.time), n_q=args.n_q, n_p=args.n_p, width_sigmas=args.width_sigmas
-    )
-    _emit_grid(sc, grid)
+    sc, state = _grid_state(args)
+    _emit_grid(sc, phasespace.wigner_grid(state, args.n_q, args.n_p, args.width_sigmas))
     return 0
 
 
 def cmd_husimi_grid(args) -> int:
-    _check_grid_flags(args)
-    sc = _scenario(args)
-    grid = phasespace.husimi_grid(
-        _state_at(sc, args.time), sc.window,
-        n_q=args.n_q, n_p=args.n_p, width_sigmas=args.width_sigmas,
-    )
-    _emit_grid(sc, grid)
+    sc, state = _grid_state(args)
+    _emit_grid(sc, phasespace.husimi_grid(state, sc.window, args.n_q, args.n_p,
+                                          args.width_sigmas))
     return 0
 
 
@@ -411,11 +406,8 @@ def _emit_grid(sc: Scenario, grid: phasespace.PhaseSpaceGrid) -> None:
 
 
 def cmd_kernel(args) -> int:
-    _check_grid_flags(args)
-    sc = _scenario(args)
-    state = _state_at(sc, args.time)
-    half = args.width_sigmas * math.sqrt(state.sigma_qq)
-    axis = np.linspace(state.sigma_q - half, state.sigma_q + half, args.n_x)
+    sc, state = _grid_state(args)
+    axis = phasespace.sample_axis(state.sigma_q, state.sigma_qq, args.n_x, args.width_sigmas)
     value = phasespace.density_kernel_at(state, axis[:, None], axis[None, :], hbar=sc.osc.hbar)
     _emit(sc.output, ["x", "y", "re", "im"], [value.real, value.imag], axes=(axis, axis))
     return 0
@@ -497,8 +489,16 @@ def cmd_selftest(args) -> int:
     return 0 if all_ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line error like any other input error: one
+    `error:` line on stderr and exit 1."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lindosc",
         description=(
             "Gaussian-state simulator for the damped quantum harmonic "
@@ -507,47 +507,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help, output=True, window=False):
+        """A subcommand that reads a scenario file, with the flags it acts on."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="scenario JSON file")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+        if output:
+            p.add_argument("--format", choices=("csv", "json"), default=None)
+            p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--hbar", type=float, default=None, help="override hbar")
-        p.add_argument(
-            "--window-sqq", type=float, default=None,
-            help="position variance of the smoothing window (squeezing)",
-        )
+        if window:
+            p.add_argument(
+                "--window-sqq", type=float, default=None,
+                help="position variance of the smoothing window (squeezing)",
+            )
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="check the diffusion-coefficient constraints")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("evolve", help="sample the trajectory with derived scalars")
-    common(p)
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("steady", help="asymptotic state and derived scalars")
-    common(p)
-    p.set_defaults(func=cmd_steady)
+    command("validate", cmd_validate, "check the diffusion-coefficient constraints",
+            output=False)
+    command("evolve", cmd_evolve, "sample the trajectory with derived scalars", window=True)
+    command("steady", cmd_steady, "asymptotic state and derived scalars", window=True)
 
     for name, func in (("wigner-grid", cmd_wigner_grid), ("husimi-grid", cmd_husimi_grid)):
-        p = sub.add_parser(name, help=f"emit a {name.split('-')[0]} phase-space grid")
-        common(p)
+        p = command(name, func, f"emit a {name.split('-')[0]} phase-space grid",
+                    window=name == "husimi-grid")
         p.add_argument("--time", type=float, default=0.0)
         p.add_argument("--n-q", type=int, default=64)
         p.add_argument("--n-p", type=int, default=64)
         p.add_argument("--width-sigmas", type=float, default=8.0)
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("kernel", help="emit the coordinate density kernel on a grid")
-    common(p)
+    p = command("kernel", cmd_kernel, "emit the coordinate density kernel on a grid")
     p.add_argument("--time", type=float, default=0.0)
     p.add_argument("--n-x", type=int, default=21)
     p.add_argument("--width-sigmas", type=float, default=4.0)
-    p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("purity-scan", help="per-time purity reports")
-    common(p)
-    p.set_defaults(func=cmd_purity_scan)
+    command("purity-scan", cmd_purity_scan, "per-time purity reports")
 
     p = sub.add_parser("selftest", help="run built-in random property sweeps")
     p.add_argument("--seed", type=int, default=0)

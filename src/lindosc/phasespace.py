@@ -20,38 +20,31 @@ MEASURE_CELL = "dqdp/(2*pi*hbar)"
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
-    """Rectangular (q, p) grid of sampled values with its measure convention."""
+    """Values sampled at the (q, p) points of two ascending axes, with their
+    measure convention; values[i, j] belongs to (q_axis[i], p_axis[j])."""
 
-    q_min: float
-    q_max: float
-    p_min: float
-    p_max: float
-    n_q: int
-    n_p: int
+    q_axis: np.ndarray
+    p_axis: np.ndarray
     values: np.ndarray
     measure: str = MEASURE_PLAIN
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.n_q < 2 or self.n_p < 2:
+        q, p = self.q_axis, self.p_axis
+        if len(q) < 2 or len(p) < 2:
             raise ParameterError("grid needs at least 2 points per axis")
-        if not (self.q_min < self.q_max and self.p_min < self.p_max):
+        if not (q[0] < q[-1] and p[0] < p[-1]):
             raise ParameterError("grid bounds must satisfy min < max")
-        for b in (self.q_min, self.q_max, self.p_min, self.p_max):
-            if not math.isfinite(b):
-                raise ParameterError("grid bounds must be finite")
+        if not all(math.isfinite(b) for b in (q[0], q[-1], p[0], p[-1])):
+            raise ParameterError("grid bounds must be finite")
+        if np.shape(self.values) != (len(q), len(p)):
+            raise ParameterError(
+                f"grid values have shape {np.shape(self.values)}, axes give ({len(q)}, {len(p)})"
+            )
         if self.measure not in (MEASURE_PLAIN, MEASURE_CELL):
             raise ParameterError(f"unknown measure convention {self.measure!r}")
         if not np.all(np.isfinite(self.values)):
             raise ParameterError("grid values must be finite")
-
-    @property
-    def q_axis(self) -> np.ndarray:
-        return np.linspace(self.q_min, self.q_max, self.n_q)
-
-    @property
-    def p_axis(self) -> np.ndarray:
-        return np.linspace(self.p_min, self.p_max, self.n_p)
 
     def integral(self) -> float:
         """Trapezoid quadrature of the stored values with the grid measure."""
@@ -128,30 +121,32 @@ class CCSpec:
         return GaussianState(sq, sp, s_qq, s_pp, s_pq, t=t)
 
 
-def wigner_at(state: GaussianState, q, p):
-    """Gaussian Wigner function value(s); normalized over plain dq dp."""
+def _gaussian(state: GaussianState, s_qq: float, s_pp: float, q, p):
+    """(exp(-quad / (2 det)), det) of the covariance [[s_qq, sigma_pq],
+    [sigma_pq, s_pp]] around the state's means, at the points (q, p)."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    det = state.uncertainty_det
+    det = s_qq * s_pp - state.sigma_pq**2
     dq = q - state.sigma_q
     dp = p - state.sigma_p
-    quad = state.sigma_pp * dq**2 + state.sigma_qq * dp**2 - 2 * state.sigma_pq * dq * dp
-    out = np.exp(-quad / (2 * det)) / (2 * math.pi * math.sqrt(det))
+    quad = s_pp * dq**2 + s_qq * dp**2 - 2 * state.sigma_pq * dq * dp
+    return np.exp(-quad / (2 * det)), det
+
+
+def wigner_at(state: GaussianState, q, p):
+    """Gaussian Wigner function value(s); normalized over plain dq dp."""
+    gauss, det = _gaussian(state, state.sigma_qq, state.sigma_pp, q, p)
+    out = gauss / (2 * math.pi * math.sqrt(det))
     return float(out) if out.ndim == 0 else out
 
 
 def husimi_at(state: GaussianState, window: CoherentWindow, q, p):
     """Smoothed phase-space distribution in [0, 1], normalized with respect
     to dq dp / (2 pi hbar)."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    a = state.sigma_qq + window.s_qq
-    b = state.sigma_pp + window.s_pp
-    det = a * b - state.sigma_pq**2
-    dq = q - state.sigma_q
-    dp = p - state.sigma_p
-    quad = b * dq**2 + a * dp**2 - 2 * state.sigma_pq * dq * dp
-    out = window.hbar / math.sqrt(det) * np.exp(-quad / (2 * det))
+    gauss, det = _gaussian(
+        state, state.sigma_qq + window.s_qq, state.sigma_pp + window.s_pp, q, p
+    )
+    out = window.hbar / math.sqrt(det) * gauss
     return float(out) if out.ndim == 0 else out
 
 
@@ -188,8 +183,7 @@ def wigner_to_kernel_oracle(
 
     Trapezoid rule over a box of width_sigmas momentum standard deviations.
     """
-    half = width_sigmas * math.sqrt(state.sigma_pp)
-    p = np.linspace(state.sigma_p - half, state.sigma_p + half, n_points)
+    p = sample_axis(state.sigma_p, state.sigma_pp, n_points, width_sigmas)
     integrand = np.exp(1j * p * (x - y) / hbar) * wigner_at(state, (x + y) / 2, p)
     return complex(np.trapezoid(integrand, p))
 
@@ -207,6 +201,12 @@ def ccs_wavefunction_at(ccs: CCSpec, x):
     return complex(out) if out.ndim == 0 else out
 
 
+def sample_axis(center: float, variance: float, n: int, width_sigmas: float) -> np.ndarray:
+    """n evenly spaced points on center +- width_sigmas * sqrt(variance)."""
+    half = width_sigmas * math.sqrt(variance)
+    return np.linspace(center - half, center + half, n)
+
+
 def wigner_grid(
     state: GaussianState,
     n_q: int = 512,
@@ -214,15 +214,9 @@ def wigner_grid(
     width_sigmas: float = 8.0,
 ) -> PhaseSpaceGrid:
     """Sample the Wigner function on a box of width_sigmas marginal sigmas."""
-    hq = width_sigmas * math.sqrt(state.sigma_qq)
-    hp = width_sigmas * math.sqrt(state.sigma_pp)
-    q = np.linspace(state.sigma_q - hq, state.sigma_q + hq, n_q)
-    p = np.linspace(state.sigma_p - hp, state.sigma_p + hp, n_p)
-    values = wigner_at(state, q[:, None], p[None, :])
-    return PhaseSpaceGrid(
-        q_min=q[0], q_max=q[-1], p_min=p[0], p_max=p[-1],
-        n_q=n_q, n_p=n_p, values=values, measure=MEASURE_PLAIN,
-    )
+    q = sample_axis(state.sigma_q, state.sigma_qq, n_q, width_sigmas)
+    p = sample_axis(state.sigma_p, state.sigma_pp, n_p, width_sigmas)
+    return PhaseSpaceGrid(q, p, wigner_at(state, q[:, None], p[None, :]), MEASURE_PLAIN)
 
 
 def husimi_grid(
@@ -233,15 +227,10 @@ def husimi_grid(
     width_sigmas: float = 8.0,
 ) -> PhaseSpaceGrid:
     """Sample the smoothed distribution; measure is dq dp / (2 pi hbar)."""
-    hq = width_sigmas * math.sqrt(state.sigma_qq + window.s_qq)
-    hp = width_sigmas * math.sqrt(state.sigma_pp + window.s_pp)
-    q = np.linspace(state.sigma_q - hq, state.sigma_q + hq, n_q)
-    p = np.linspace(state.sigma_p - hp, state.sigma_p + hp, n_p)
+    q = sample_axis(state.sigma_q, state.sigma_qq + window.s_qq, n_q, width_sigmas)
+    p = sample_axis(state.sigma_p, state.sigma_pp + window.s_pp, n_p, width_sigmas)
     values = husimi_at(state, window, q[:, None], p[None, :])
-    return PhaseSpaceGrid(
-        q_min=q[0], q_max=q[-1], p_min=p[0], p_max=p[-1],
-        n_q=n_q, n_p=n_p, values=values, measure=MEASURE_CELL, hbar=window.hbar,
-    )
+    return PhaseSpaceGrid(q, p, values, MEASURE_CELL, hbar=window.hbar)
 
 
 def wigner_purity_quadrature(state: GaussianState, hbar: float = 1.0, n: int = 512) -> float:

@@ -16,6 +16,7 @@ from lindosc import (
     UnitSystem,
     cli,
     entropy,
+    phasespace,
     preset_gibbs,
     propagator,
     steady_state,
@@ -193,9 +194,15 @@ def test_steady_command(tmp_path):
     assert float(rows[0]["sigma_q"]) == 0.0
 
 
+def _command_state(*argv):
+    """The state that a grid or kernel command line samples."""
+    return cli._grid_state(cli.build_parser().parse_args(argv))[1]
+
+
 def test_wigner_grid_normalized(tmp_path):
     cfg = write_config(tmp_path, gibbs_config())
-    proc = run_cli("wigner-grid", "--config", cfg, "--n-q", "101", "--n-p", "101")
+    argv = ("wigner-grid", "--config", cfg, "--n-q", "101", "--n-p", "101")
+    proc = run_cli(*argv)
     lines = proc.stdout.splitlines()
     assert lines[0] == "# measure=dqdp"
     header, rows = parse_csv(proc.stdout)
@@ -206,6 +213,10 @@ def test_wigner_grid_normalized(tmp_path):
     vals = np.array([float(r["value"]) for r in rows]).reshape(101, 101)
     total = np.trapezoid(np.trapezoid(vals, p, axis=1), q)
     assert total == pytest.approx(1.0, abs=1e-6)
+    state = _command_state(*argv)
+    axis = phasespace.sample_axis(state.sigma_q, state.sigma_qq, 101, 8.0)
+    assert np.array_equal(phasespace.wigner_grid(state, 101, 101, 8.0).q_axis, axis)
+    assert np.array_equal(q, axis)
 
 
 def test_husimi_grid_measure_and_range(tmp_path):
@@ -220,9 +231,13 @@ def test_husimi_grid_measure_and_range(tmp_path):
 
 def test_kernel_command_hermitian(tmp_path):
     cfg = write_config(tmp_path, pure_config())
-    proc = run_cli("kernel", "--config", cfg, "--time", "1.0", "--n-x", "7")
+    argv = ("kernel", "--config", cfg, "--time", "1.0", "--n-x", "7")
+    proc = run_cli(*argv)
     header, rows = parse_csv(proc.stdout)
     assert header == ["x", "y", "re", "im"]
+    state = _command_state(*argv)
+    assert np.array_equal(sorted({float(r["x"]) for r in rows}),
+                          phasespace.sample_axis(state.sigma_q, state.sigma_qq, 7, 4.0))
     table = {(r["x"], r["y"]): (float(r["re"]), float(r["im"])) for r in rows}
     assert len(table) == 49
     for (x, y), (re, im) in table.items():
@@ -502,6 +517,47 @@ def test_bad_grid_flag_exits_one_with_one_line(tmp_path, name):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ") and flag in proc.stderr
+
+
+# name -> a command line the parser rejects
+BAD_COMMAND_LINES = {
+    "non-integer-size": ["wigner-grid", "--config", "scenario.json", "--n-q", "abc"],
+    "missing-config": ["evolve"],
+    "no-command": [],
+    "unknown-flag": ["steady", "--config", "scenario.json", "--bogus"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_COMMAND_LINES))
+def test_command_line_error_exits_one_with_one_line(name):
+    proc = run_cli(*BAD_COMMAND_LINES[name])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+# Flags a command does not act on, so it does not offer them.
+DROPPED_FLAGS = [
+    *[(command, "--window-sqq", "0.3") for command in
+      ("validate", "wigner-grid", "kernel", "purity-scan")],
+    ("validate", "--format", "json"),
+    ("validate", "--out", "report.txt"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", DROPPED_FLAGS)
+def test_flag_a_command_ignores_is_rejected(tmp_path, capsys, command, flag, value):
+    argv = [command, "--config", write_config(tmp_path, gibbs_config()), flag, value]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (1, "")
+    assert err == f"error: unrecognized arguments: {flag} {value}\n"
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["husimi-grid", "-h"])
+    assert exc.value.code == 0 and "--window-sqq" in capsys.readouterr().out
 
 
 def test_weak_coupling_warning_is_one_line(tmp_path):

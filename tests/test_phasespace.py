@@ -33,13 +33,21 @@ from conftest import random_state
 
 
 def test_grid_validation():
+    axis = np.linspace(0, 1, 4)
     vals = np.zeros((4, 4))
-    with pytest.raises(ParameterError):
-        PhaseSpaceGrid(0, 1, 0, 1, 1, 4, vals)
-    with pytest.raises(ParameterError):
-        PhaseSpaceGrid(1, 0, 0, 1, 4, 4, vals)
-    with pytest.raises(ParameterError):
-        PhaseSpaceGrid(0, 1, 0, 1, 4, 4, vals, measure="bogus")
+    PhaseSpaceGrid(axis, axis, vals)
+    with pytest.raises(ParameterError, match="at least 2 points"):
+        PhaseSpaceGrid(axis[:1], axis, vals[:1])
+    with pytest.raises(ParameterError, match="min < max"):
+        PhaseSpaceGrid(axis[::-1], axis, vals)
+    with pytest.raises(ParameterError, match="finite"):
+        PhaseSpaceGrid(np.array([0, 1, 2, np.inf]), axis, vals)
+    with pytest.raises(ParameterError, match="shape"):
+        PhaseSpaceGrid(axis, axis[:3], vals)
+    with pytest.raises(ParameterError, match="measure"):
+        PhaseSpaceGrid(axis, axis, vals, measure="bogus")
+    with pytest.raises(ParameterError, match="values must be finite"):
+        PhaseSpaceGrid(axis, axis, np.full((4, 4), np.nan))
 
 
 def test_window_product_constraint():
