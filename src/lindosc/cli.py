@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import entropy, model, phasespace, propagator, purity
+from . import entropy, model, phasespace, propagator, purity, sweeps
 from .model import (
     ConsistencyError,
     DiffusionSpec,
@@ -425,68 +425,13 @@ def cmd_purity_scan(args) -> int:
     return 0
 
 
-def _selftest_checks(seed: int):
-    rng = np.random.default_rng(seed)
-    results = []
-
-    margins = []
-    for _ in range(200):
-        ab = rng.standard_normal(4) * 2
-        ops = LindbladOps(ops=((complex(ab[0], ab[1]), complex(ab[2], ab[3])),))
-        diff, lam = model.coefficients_from_ops(ops)
-        margins.append(model.determinant_margin(diff, lam, 1.0))
-    results.append(("coefficient determinant margin >= 0", min(margins) >= -1e-12))
-
-    ok = True
-    for _ in range(100):
-        omega = rng.uniform(0.5, 2.0)
-        lam = rng.uniform(0.01, 0.3) * omega
-        mu = rng.uniform(-0.5, 0.5) * omega
-        osc = OscillatorSpec(mass=rng.uniform(0.5, 2.0), omega=omega, lam=lam, mu=mu)
-        d_qq, d_pp = rng.uniform(0.05, 0.5, 2)
-        floor = lam / 2
-        scale = max(floor, 0.05) / math.sqrt(d_qq * d_pp) * rng.uniform(1.0, 4.0)
-        d_qq *= scale
-        d_pp *= scale
-        cap = math.sqrt(d_qq * d_pp - floor**2)
-        d_pq = rng.uniform(-0.9, 0.9) * cap
-        diff = DiffusionSpec(d_qq=d_qq, d_pp=d_pp, d_pq=d_pq)
-        state0 = propagator.ground_state(osc)
-        for t in np.linspace(0, 10 / lam, 23)[1:]:
-            det = propagator.evolve(osc, diff, state0, float(t)).uncertainty_det
-            ok = ok and (det >= 0.25 or model.saturates(det, 1.0))
-    results.append(("uncertainty preserved along evolution", ok))
-
-    ok = True
-    for _ in range(500):
-        s_qq, s_pp = np.exp(rng.uniform(-1.5, 1.5, 2))
-        r = rng.uniform(-0.99, 0.99)
-        s_pq = r * math.sqrt(s_qq * s_pp)
-        det = s_qq * s_pp - s_pq**2
-        scale = max(1.0, 0.5 / math.sqrt(det)) * (1 + rng.uniform(0, 3))
-        state = GaussianState(
-            rng.normal(), rng.normal(), s_qq * scale, s_pp * scale, s_pq * scale
-        )
-        s = entropy.von_neumann_entropy(state)
-        window = CoherentWindow.squeezed(math.sqrt(state.sigma_qq / state.sigma_pp) / 2 * 1.0)
-        wehrl = entropy.wehrl_entropy_closed(state, window)
-        if not (
-            wehrl >= max(1.0, s) - 1e-9
-            and entropy.linear_entropy(state) <= 1 - math.exp(-s) + 1e-12
-            and entropy.minimized_uncertainty_bound(state) >= -1e-12
-        ):
-            ok = False
-    results.append(("entropy inequality chain", ok))
-    return results
-
-
 def cmd_selftest(args) -> int:
-    results = _selftest_checks(args.seed)
-    all_ok = True
-    for name, ok in results:
-        print(f"selftest {name}: {'PASS' if ok else 'FAIL'}")
-        all_ok = all_ok and ok
-    return 0 if all_ok else 1
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    results = sweeps.selftest(args.seed)
+    for name, passed in results:
+        print(f"selftest {name}: {'PASS' if passed else 'FAIL'}")
+    return 0 if all(passed for _, passed in results) else 1
 
 
 class _Parser(argparse.ArgumentParser):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import DiffusionSpec, OscillatorSpec, ParameterError
+from .model import ConsistencyError, DiffusionSpec, OscillatorSpec, ParameterError
 from .phasespace import CoherentWindow, husimi_grid, smoothed_covariance_det
 from .propagator import GaussianState, require_physical
 
@@ -45,10 +45,15 @@ def _entropy(nu: float) -> float:
 
 
 def _temperature(osc: OscillatorSpec, nu: float) -> float:
-    """Thermal temperature with occupation nu; 0 for nu = 0."""
+    """Thermal temperature with occupation nu; 0 for nu = 0.  Raises
+    ConsistencyError where ln(nu+1) - ln(nu) rounds to 0 (nu above about 1e16)."""
     if nu == 0.0:
         return 0.0
-    return osc.hbar * osc.omega / (osc.boltzmann * (math.log(nu + 1) - math.log(nu)))
+    gap = math.log(nu + 1) - math.log(nu)
+    if gap == 0.0:
+        raise ConsistencyError(f"effective temperature undefined at nu={nu}: "
+                               "ln(nu+1) - ln(nu) rounds to 0")
+    return osc.hbar * osc.omega / (osc.boltzmann * gap)
 
 
 def _purity(root: float, hbar: float) -> float:

@@ -1,48 +1,5 @@
-import math
-
 import numpy as np
 import pytest
-
-from lindosc import DiffusionSpec, GaussianState, OscillatorSpec
-
-
-def random_oscillator(rng, lam_range=(0.01, 0.3), mu_frac=0.5) -> OscillatorSpec:
-    omega = rng.uniform(0.5, 2.0)
-    return OscillatorSpec(
-        mass=rng.uniform(0.5, 2.0),
-        omega=omega,
-        lam=rng.uniform(*lam_range) * omega,
-        mu=rng.uniform(-mu_frac, mu_frac) * omega,
-    )
-
-
-def random_diffusion(rng, osc: OscillatorSpec) -> DiffusionSpec:
-    # valid coefficients: product kept above the determinant floor, d_pq
-    # bounded by the remaining margin
-    d_qq = rng.uniform(0.5, 2.0)
-    d_pp = rng.uniform(0.5, 2.0)
-    floor = osc.lam * osc.hbar / 2
-    scale = max(floor, 0.05) / math.sqrt(d_qq * d_pp) * rng.uniform(1.0, 4.0)
-    d_qq *= scale
-    d_pp *= scale
-    cap = math.sqrt(d_qq * d_pp - floor**2)
-    return DiffusionSpec(d_qq=d_qq, d_pp=d_pp, d_pq=rng.uniform(-0.9, 0.9) * cap)
-
-
-def random_state(rng, hbar: float = 1.0, mixedness=(0.0, 3.0)) -> GaussianState:
-    s_qq, s_pp = np.exp(rng.uniform(-1.5, 1.5, 2))
-    r = rng.uniform(-0.99, 0.99)
-    s_pq = r * math.sqrt(s_qq * s_pp)
-    det = s_qq * s_pp - s_pq**2
-    # rescale onto or above the uncertainty floor
-    scale = (hbar / 2) / math.sqrt(det) * (1 + rng.uniform(*mixedness))
-    return GaussianState(
-        sigma_q=rng.normal(scale=1.5),
-        sigma_p=rng.normal(scale=1.5),
-        sigma_qq=s_qq * scale,
-        sigma_pp=s_pp * scale,
-        sigma_pq=s_pq * scale,
-    )
 
 
 @pytest.fixture

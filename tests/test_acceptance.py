@@ -44,8 +44,7 @@ from lindosc.phasespace import (
     wigner_to_kernel_oracle,
 )
 from lindosc.propagator import _decay_rates, _drive_vector, _mode_matrix, _real_checked
-
-from conftest import random_diffusion, random_oscillator, random_state
+from lindosc.sweeps import random_diffusion, random_oscillator, random_state
 
 SEED = 20260826
 

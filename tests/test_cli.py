@@ -12,18 +12,19 @@ import pytest
 from lindosc import (
     CoherentWindow,
     ConsistencyError,
+    InvalidStateError,
     OscillatorSpec,
     UnitSystem,
     cli,
     entropy,
+    model,
     phasespace,
     preset_gibbs,
     propagator,
     steady_state,
 )
 from lindosc.entropy import von_neumann_entropy
-
-from conftest import random_diffusion, random_oscillator, random_state
+from lindosc.sweeps import random_diffusion, random_oscillator, random_state
 
 
 def run_cli(*argv, **kwargs):
@@ -363,10 +364,41 @@ def test_selftest_passes():
     assert all(ln.endswith("PASS") for ln in lines)
 
 
-def test_selftest_seed_flag():
-    proc = run_cli("selftest", "--seed", "7")
-    assert proc.returncode == 0, proc.stdout
+SELFTEST_NAMES = ("coefficient determinant margin >= 0",
+                  "uncertainty preserved along evolution", "entropy inequality chain")
 
+
+def test_selftest_seed_flag(capsys):
+    for seed in range(10):
+        assert cli.main(["selftest", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == "".join(f"selftest {n}: PASS\n" for n in SELFTEST_NAMES)
+
+
+def _raises(exc):
+    def replacement(*args, **kwargs):
+        raise exc
+    return replacement
+
+
+@pytest.mark.parametrize("target,name,replacement,failing", [
+    (model, "coefficients_from_ops", _raises(ConsistencyError("margin")), SELFTEST_NAMES[0]),
+    (propagator, "require_physical", _raises(InvalidStateError("floor")), SELFTEST_NAMES[1]),
+    (entropy, "linear_entropy", lambda *args, **kwargs: 2.0, SELFTEST_NAMES[2]),
+])
+def test_selftest_violation_prints_fail_and_exits_one(monkeypatch, capsys, target, name,
+                                                     replacement, failing):
+    monkeypatch.setattr(target, name, replacement)
+    assert _main_error(capsys, ["selftest"]) == (1, "".join(
+        f"selftest {n}: {'FAIL' if n == failing else 'PASS'}\n" for n in SELFTEST_NAMES), [])
+
+
+def test_temperature_beyond_float_resolution_exits_two(tmp_path, capsys):
+    """At hbar = 1e-20 the steady occupation is about 1.5e20, where
+    ln(nu+1) - ln(nu) rounds to 0: one error line, not a traceback."""
+    argv = ["steady", "--config", write_config(tmp_path, gibbs_config()), "--hbar", "1e-20"]
+    code, out, [line] = _main_error(capsys, argv)
+    assert (code, out) == (2, "")
+    assert line.startswith("numerical-consistency error: effective temperature undefined at nu=")
 
 
 def _bad_times(**times):
@@ -525,6 +557,7 @@ BAD_COMMAND_LINES = {
     "missing-config": ["evolve"],
     "no-command": [],
     "unknown-flag": ["steady", "--config", "scenario.json", "--bogus"],
+    "negative-seed": ["selftest", "--seed", "-1"],
 }
 
 

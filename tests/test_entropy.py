@@ -32,8 +32,7 @@ from lindosc.entropy import (
     wehrl_entropy_quadrature,
 )
 from lindosc.propagator import evolve, sample_trajectory
-
-from conftest import random_diffusion, random_oscillator, random_state
+from lindosc.sweeps import random_diffusion, random_oscillator, random_state
 
 
 def thermal_state(nu: float, hbar: float = 1.0) -> GaussianState:

@@ -15,8 +15,7 @@ from lindosc import (
     validate,
 )
 from lindosc.model import RTOL, determinant_margin, negligible, pure_state_op, saturates
-
-from conftest import random_oscillator
+from lindosc.sweeps import random_ops, random_oscillator
 
 
 def test_unit_system_defaults_and_positivity():
@@ -137,14 +136,7 @@ def test_coefficients_pure_state_op_roundtrip():
 
 def test_coefficients_random_ops_satisfy_determinant(rng):
     for _ in range(1000):
-        n_ops = rng.integers(1, 3)
-        ops = LindbladOps(
-            ops=tuple(
-                (complex(*rng.standard_normal(2) * 3), complex(*rng.standard_normal(2) * 3))
-                for _ in range(n_ops)
-            )
-        )
-        diff, lam = coefficients_from_ops(ops)
+        diff, lam = coefficients_from_ops(random_ops(rng))
         scale = max(diff.d_pp * diff.d_qq, (lam / 2) ** 2, 1e-30)
         assert determinant_margin(diff, lam, 1.0) >= -1e-12 * scale
 

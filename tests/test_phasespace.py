@@ -28,8 +28,7 @@ from lindosc.phasespace import (
     wigner_purity_quadrature,
     wigner_to_kernel_oracle,
 )
-
-from conftest import random_state
+from lindosc.sweeps import random_state
 
 
 def test_grid_validation():

@@ -27,8 +27,7 @@ from lindosc.propagator import (
     _mode_matrix,
     default_oracle_step,
 )
-
-from conftest import random_diffusion, random_oscillator, random_state
+from lindosc.sweeps import random_diffusion, random_oscillator, random_state
 
 
 def moments(state: GaussianState) -> np.ndarray:

@@ -23,8 +23,7 @@ from lindosc.purity import (
     purity_scan,
     purity_table,
 )
-
-from conftest import random_diffusion, random_oscillator, random_state
+from lindosc.sweeps import random_diffusion, random_oscillator, random_state
 
 
 def test_correlation_coefficient_basic():
