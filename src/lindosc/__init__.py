@@ -25,7 +25,6 @@ from .propagator import (
     evolve_covariances,
     evolve_means,
     ground_state,
-    ode_oracle,
     sample_trajectory,
     steady_covariances,
     steady_state,
@@ -53,7 +52,6 @@ __all__ = [
     "evolve_covariances",
     "evolve_means",
     "ground_state",
-    "ode_oracle",
     "preset_gibbs",
     "preset_pure_state",
     "sample_trajectory",

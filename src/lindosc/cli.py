@@ -39,6 +39,11 @@ RUN_COLUMNS = (
     "wehrl", "energy",
 )
 
+# Most rows or grid points one command may emit: times.n_samples, --n-q * --n-p
+# and --n-x**2.  A 1024 x 1024 grid fits; an evolve of this many rows peaks at
+# about 2-4 GB of memory.
+MAX_ROWS = 2**20
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent scenario configuration."""
@@ -50,7 +55,7 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -190,8 +195,8 @@ def build_times(cfg: dict) -> list[float]:
     else:
         n = _get(cfg, "times.n_samples", kind=int)
         start, end = _get(cfg, "times.t_start"), _get(cfg, "times.t_end")
-        if n < 1:
-            raise ConfigError("times.n_samples must be >= 1")
+        if not 1 <= n <= MAX_ROWS:
+            raise ConfigError(f"times.n_samples must be in [1, {MAX_ROWS}], got {n}")
         times = list(np.linspace(start, end, n))
     propagator._check_times(times)
     return times
@@ -381,6 +386,10 @@ def _grid_state(args) -> tuple[Scenario, GaussianState]:
         size = getattr(args, name, 2)
         if size < 2:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= 2, got {size}")
+    flags, points = (("--n-x**2", args.n_x**2) if hasattr(args, "n_x")
+                     else ("--n-q * --n-p", args.n_q * args.n_p))
+    if points > MAX_ROWS:
+        raise ConfigError(f"{flags} must be <= {MAX_ROWS}, got {points}")
     sc = _scenario(args)
     if args.time == 0:
         return sc, sc.state0

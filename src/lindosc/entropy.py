@@ -1,8 +1,8 @@
 """Scalar diagnostics of a Gaussian state.
 
-von Neumann entropy, effective temperature, Wehrl entropy (closed form and
-quadrature oracle), linear entropy and its near-pure production rate, the
-uncertainty-entropy bound and the fluctuation energy.  The 0*ln(0) := 0
+von Neumann entropy, effective temperature, closed-form Wehrl entropy,
+linear entropy and its near-pure production rate, the uncertainty-entropy
+bound and the fluctuation energy.  The 0*ln(0) := 0
 convention applies throughout.
 """
 from __future__ import annotations
@@ -11,10 +11,8 @@ import math
 import warnings
 from typing import NamedTuple
 
-import numpy as np
-
-from .model import ConsistencyError, DiffusionSpec, OscillatorSpec, ParameterError
-from .phasespace import CoherentWindow, husimi_grid, smoothed_covariance_det
+from .model import ConsistencyError, DiffusionSpec, OscillatorSpec
+from .phasespace import CoherentWindow, smoothed_covariance_det
 from .propagator import GaussianState, require_physical
 
 
@@ -98,23 +96,6 @@ def wehrl_entropy_closed(
     1 + ln(sqrt(det) / hbar) with det the smoothed covariance determinant."""
     det = smoothed_covariance_det(state, window)
     return 1.0 + 0.5 * math.log(det / hbar**2)
-
-
-def wehrl_entropy_quadrature(
-    state: GaussianState,
-    window: CoherentWindow,
-    hbar: float = 1.0,
-    n: int = 512,
-    width_sigmas: float = 8.0,
-) -> float:
-    """Trapezoid quadrature of -integral (dq dp / 2 pi hbar) Q ln Q."""
-    if width_sigmas < 8.0:
-        raise ParameterError("quadrature box must cover at least 8 sigmas")
-    grid = husimi_grid(state, window, n_q=n, n_p=n, width_sigmas=width_sigmas)
-    q_vals = grid.values
-    integrand = np.where(q_vals > 0, -q_vals * np.log(np.where(q_vals > 0, q_vals, 1.0)), 0.0)
-    total = np.trapezoid(np.trapezoid(integrand, grid.p_axis, axis=1), grid.q_axis)
-    return float(total / (2 * math.pi * hbar))
 
 
 def minimized_uncertainty_bound(state: GaussianState, hbar: float = 1.0) -> float:

@@ -2,7 +2,7 @@
 
 Evaluators for the Wigner function, the smoothed (Husimi) distribution,
 the coordinate density-matrix kernel and correlated (squeezed) coherent
-states, plus the quadrature oracles used to cross-check them.
+states.
 """
 from __future__ import annotations
 
@@ -171,23 +171,6 @@ def density_kernel_at(state: GaussianState, x, y, hbar: float = 1.0):
     return complex(out) if out.ndim == 0 else out
 
 
-def wigner_to_kernel_oracle(
-    state: GaussianState,
-    x: float,
-    y: float,
-    hbar: float = 1.0,
-    n_points: int = 4096,
-    width_sigmas: float = 8.0,
-):
-    """Quadrature of the momentum Fourier integral turning W into <x|rho|y>.
-
-    Trapezoid rule over a box of width_sigmas momentum standard deviations.
-    """
-    p = sample_axis(state.sigma_p, state.sigma_pp, n_points, width_sigmas)
-    integrand = np.exp(1j * p * (x - y) / hbar) * wigner_at(state, (x + y) / 2, p)
-    return complex(np.trapezoid(integrand, p))
-
-
 def ccs_wavefunction_at(ccs: CCSpec, x):
     """Normalized wavefunction of a correlated coherent state."""
     x = np.asarray(x, dtype=float)
@@ -232,10 +215,3 @@ def husimi_grid(
     values = husimi_at(state, window, q[:, None], p[None, :])
     return PhaseSpaceGrid(q, p, values, MEASURE_CELL, hbar=window.hbar)
 
-
-def wigner_purity_quadrature(state: GaussianState, hbar: float = 1.0, n: int = 512) -> float:
-    """2*pi*hbar * integral of W**2 over phase space (trapezoid)."""
-    grid = wigner_grid(state, n_q=n, n_p=n)
-    w2 = grid.values**2
-    total = np.trapezoid(np.trapezoid(w2, grid.p_axis, axis=1), grid.q_axis)
-    return float(2 * math.pi * hbar * total)

@@ -3,8 +3,6 @@
 Means decay as damped oscillations; the three covariances follow the
 complex diagonalized solution X(t) = (T exp(-Kt) T)(X(0) - X(inf)) + X(inf)
 in the scaled coordinates (m*omega*sigma_qq, sigma_pp/(m*omega), sigma_pq).
-A fixed-step RK4 integrator of the moment ODEs is provided as an
-independent oracle for the tests.
 """
 from __future__ import annotations
 
@@ -251,70 +249,6 @@ def evolve(osc: OscillatorSpec, diff: DiffusionSpec, state0: GaussianState, t: f
     cov = evolve_covariances(osc, diff, state0, t)
     s_qq, s_pp, s_pq = cov.to_covariances(osc)
     return GaussianState(sq, sp, s_qq, s_pp, s_pq, t=state0.t + t)
-
-
-def _moment_system(osc: OscillatorSpec, diff: DiffusionSpec):
-    """Linear system d/dt y = A y + d for y = (sq, sp, sqq, spp, spq)."""
-    lam, mu, om, m = osc.lam, osc.mu, osc.omega, osc.mass
-    a = np.zeros((5, 5))
-    a[0, 0], a[0, 1] = -(lam - mu), 1 / m
-    a[1, 0], a[1, 1] = -m * om**2, -(lam + mu)
-    a[2, 2], a[2, 4] = -2 * (lam - mu), 2 / m
-    a[3, 3], a[3, 4] = -2 * (lam + mu), -2 * m * om**2
-    a[4, 2], a[4, 3], a[4, 4] = -m * om**2, 1 / m, -2 * lam
-    d = np.array([0.0, 0.0, 2 * diff.d_qq, 2 * diff.d_pp, 2 * diff.d_pq])
-    return a, d
-
-
-def default_oracle_step(osc: OscillatorSpec) -> float:
-    """1e-4 of the characteristic time 1/max(omega, lam)."""
-    return 1e-4 / max(osc.omega, osc.lam)
-
-
-def _rk4_affine_step(a: np.ndarray, d: np.ndarray, h: float):
-    """One classical RK4 step of y' = A y + d as an affine map y -> P y + s."""
-    n = a.shape[0]
-    eye = np.eye(n)
-    ha = h * a
-    p = eye + ha @ (eye + ha @ (eye + ha @ (eye + ha / 4) / 3) / 2)
-    s = h * (eye + ha @ (eye + ha @ (eye + ha / 4) / 3) / 2) @ d
-    return p, s
-
-
-def ode_oracle(
-    osc: OscillatorSpec,
-    diff: DiffusionSpec,
-    state0: GaussianState,
-    t: float,
-    step: float | None = None,
-) -> GaussianState:
-    """Fixed-step classical RK4 integration of the five moment ODEs.
-
-    The step map of RK4 on this linear system is affine, so n steps are
-    composed by binary exponentiation; the result is the exact n-step RK4
-    iterate.  Test oracle only.
-    """
-    if step is None:
-        step = default_oracle_step(osc)
-    if not step > 0:
-        raise ParameterError(f"step must be > 0, got {step}")
-    if t == 0:
-        return state0
-    n = max(1, round(t / step))
-    h = t / n
-    a, d = _moment_system(osc, diff)
-    p, s = _rk4_affine_step(a, d, h)
-    # compose the affine map n times (all powers of one map commute)
-    acc_p, acc_s = np.eye(5), np.zeros(5)
-    while n:
-        if n & 1:
-            acc_p, acc_s = p @ acc_p, p @ acc_s + s
-        p, s = p @ p, p @ s + s
-        n >>= 1
-    y = acc_p @ np.array(
-        [state0.sigma_q, state0.sigma_p, state0.sigma_qq, state0.sigma_pp, state0.sigma_pq]
-    ) + acc_s
-    return GaussianState(*y, t=state0.t + t)
 
 
 def _check_times(times: list) -> None:

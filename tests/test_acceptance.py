@@ -18,7 +18,6 @@ from lindosc import (
     OscillatorSpec,
     evolve,
     ground_state,
-    ode_oracle,
     preset_gibbs,
     preset_pure_state,
     sample_trajectory,
@@ -34,17 +33,16 @@ from lindosc.entropy import (
     purity_gamma,
     von_neumann_entropy,
     wehrl_entropy_closed,
-    wehrl_entropy_quadrature,
 )
-from lindosc.phasespace import (
-    density_kernel_at,
-    wigner_at,
-    wigner_grid,
+from lindosc.phasespace import density_kernel_at, wigner_at, wigner_grid
+from lindosc.propagator import _decay_rates, _drive_vector, _mode_matrix, _real_checked
+from lindosc.sweeps import random_diffusion, random_oscillator, random_state
+from oracles import (
+    ode_oracle,
+    wehrl_entropy_quadrature,
     wigner_purity_quadrature,
     wigner_to_kernel_oracle,
 )
-from lindosc.propagator import _decay_rates, _drive_vector, _mode_matrix, _real_checked
-from lindosc.sweeps import random_diffusion, random_oscillator, random_state
 
 SEED = 20260826
 

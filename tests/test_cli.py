@@ -508,6 +508,24 @@ def test_bad_input_exits_one_with_one_line(tmp_path, name):
     assert proc.stderr.startswith("error: ") and key in proc.stderr
 
 
+# name -> bytes of a scenario file that json cannot read
+UNREADABLE_CONFIGS = {
+    "non-utf8-byte": b'{"oscillator": {"omega": "\xff"}}',
+    "deep-nesting": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_CONFIGS))
+def test_unreadable_config_exits_one_with_one_line(tmp_path, name):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(UNREADABLE_CONFIGS[name])
+    proc = run_cli("validate", "--config", str(path))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: config is not valid JSON: ")
+
+
 @pytest.mark.parametrize("command", ["evolve", "steady", "husimi-grid"])
 def test_zero_window_sqq_flag_exits_one(tmp_path, command):
     cfg = write_config(tmp_path, gibbs_config())
@@ -839,6 +857,57 @@ def test_bad_time_grid_rejected_before_propagation(tmp_path, capsys, no_propagat
                                                    command, times, message):
     config = write_config(tmp_path, _bad_times(list=times))
     assert _main_error(capsys, [command, "--config", config]) == (1, "", [f"error: {message}"])
+
+
+@pytest.fixture
+def no_allocation(monkeypatch, no_propagation):
+    """no_propagation, and np.linspace fails the test as well."""
+    def called(*args, **kwargs):
+        raise AssertionError("size caps must be checked before any allocation")
+
+    monkeypatch.setattr(np, "linspace", called)
+
+
+def _samples(n):
+    return _bad_times(t_start=0.0, t_end=1.0, n_samples=n)
+
+
+# name -> (command line, scenario, the key or flag the error line names)
+OVERSIZED = {
+    "n-samples-1e18": (["evolve"], _samples(1e18), "times.n_samples"),
+    "n-samples-one-over": (["evolve"], _samples(cli.MAX_ROWS + 1), "times.n_samples"),
+    "wigner-3e9-points": (["wigner-grid", "--n-q", "3000000000", "--n-p", "2"],
+                          _without("times"), "--n-q * --n-p"),
+    "husimi-one-over": (["husimi-grid", "--n-q", "1025", "--n-p", "1024"],
+                        _without("times"), "--n-q * --n-p"),
+    "kernel-1e5-axis": (["kernel", "--n-x", "100000"], _without("times"), "--n-x"),
+    "kernel-one-over": (["kernel", "--n-x", "1025"], _without("times"), "--n-x"),
+}
+
+# name -> (command line, scenario) asking for exactly MAX_ROWS rows or points
+AT_THE_CAP = {
+    "n-samples": (["evolve"], _samples(cli.MAX_ROWS)),
+    "wigner-grid": (["wigner-grid", "--n-q", "1024", "--n-p", "1024"], _without("times")),
+    "kernel": (["kernel", "--n-x", "1024"], _without("times")),
+}
+
+
+def _sized_argv(tmp_path, argv, conf):
+    return [argv[0], "--config", write_config(tmp_path, conf), *argv[1:]]
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_oversized_output_rejected_before_allocation(tmp_path, capsys, no_allocation, name):
+    argv, conf, key = OVERSIZED[name]
+    code, out, err = _main_error(capsys, _sized_argv(tmp_path, argv, conf))
+    assert (code, out, len(err)) == (1, "", 1)
+    assert err[0].startswith("error: ") and key in err[0] and str(cli.MAX_ROWS) in err[0]
+
+
+@pytest.mark.parametrize("name", sorted(AT_THE_CAP))
+def test_output_at_the_cap_passes_the_size_check(tmp_path, no_allocation, name):
+    with pytest.raises(AssertionError, match="before any"):
+        cli.main(_sized_argv(tmp_path, *AT_THE_CAP[name]))
 
 
 def _diffusion_block(rng, source: str, osc: OscillatorSpec) -> dict:

@@ -29,10 +29,10 @@ from lindosc.entropy import (
     purity_gamma,
     von_neumann_entropy,
     wehrl_entropy_closed,
-    wehrl_entropy_quadrature,
 )
 from lindosc.propagator import evolve, sample_trajectory
 from lindosc.sweeps import random_diffusion, random_oscillator, random_state
+from oracles import wehrl_entropy_quadrature
 
 
 def thermal_state(nu: float, hbar: float = 1.0) -> GaussianState:
@@ -101,11 +101,12 @@ def test_wehrl_matched_coherent_is_one():
     )
 
 
-def test_wehrl_closed_vs_quadrature(rng):
-    window = CoherentWindow(0.5, 0.5)
+@pytest.mark.parametrize("hbar", [1.0, 0.3])
+def test_wehrl_closed_vs_quadrature(rng, hbar):
+    window = CoherentWindow(0.5 * hbar, 0.5 * hbar, hbar=hbar)
     for _ in range(10):
-        state = random_state(rng)
-        closed = wehrl_entropy_closed(state, window)
+        state = random_state(rng, hbar)
+        closed = wehrl_entropy_closed(state, window, hbar)
         quad = wehrl_entropy_quadrature(state, window)
         assert quad == pytest.approx(closed, abs=1e-6)
 

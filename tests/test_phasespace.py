@@ -25,10 +25,9 @@ from lindosc.phasespace import (
     smoothed_covariance_det,
     wigner_at,
     wigner_grid,
-    wigner_purity_quadrature,
-    wigner_to_kernel_oracle,
 )
 from lindosc.sweeps import random_state
+from oracles import wigner_purity_quadrature, wigner_to_kernel_oracle
 
 
 def test_grid_validation():
@@ -110,11 +109,11 @@ def test_husimi_matched_coherent_peak():
     )
 
 
-def test_husimi_normalization_and_range(rng):
-    osc = OscillatorSpec(mass=1, omega=1, lam=0.1)
-    window = CoherentWindow.matched(osc)
+@pytest.mark.parametrize("hbar", [1.0, 0.3])
+def test_husimi_normalization_and_range(rng, hbar):
+    window = CoherentWindow(0.5 * hbar, 0.5 * hbar, hbar=hbar)
     for _ in range(10):
-        state = random_state(rng)
+        state = random_state(rng, hbar)
         grid = husimi_grid(state, window)
         assert grid.integral() == pytest.approx(1.0, abs=1e-6)
         assert np.all(grid.values >= 0)

@@ -12,7 +12,6 @@ from lindosc import (
     evolve_covariances,
     evolve_means,
     ground_state,
-    ode_oracle,
     preset_gibbs,
     preset_pure_state,
     sample_trajectory,
@@ -20,14 +19,9 @@ from lindosc import (
     steady_state,
 )
 from lindosc.model import AGREE_RTOL, RTOL
-from lindosc.propagator import (
-    ScaledCovariances,
-    _decay_rates,
-    _drive_vector,
-    _mode_matrix,
-    default_oracle_step,
-)
+from lindosc.propagator import ScaledCovariances, _decay_rates, _drive_vector, _mode_matrix
 from lindosc.sweeps import random_diffusion, random_oscillator, random_state
+from oracles import default_oracle_step, ode_oracle
 
 
 def moments(state: GaussianState) -> np.ndarray:
