@@ -109,8 +109,19 @@ def test_husimi_matched_coherent_peak():
     )
 
 
-@pytest.mark.parametrize("hbar", [1.0, 0.3])
-def test_husimi_normalization_and_range(rng, hbar):
+def test_husimi_normalization_and_range(rng):
+    osc = OscillatorSpec(mass=1, omega=1, lam=0.1)
+    window = CoherentWindow.matched(osc)
+    for _ in range(10):
+        state = random_state(rng)
+        grid = husimi_grid(state, window)
+        assert grid.integral() == pytest.approx(1.0, abs=1e-6)
+        assert np.all(grid.values >= 0)
+        assert np.all(grid.values <= 1 + 1e-12)
+
+
+def test_husimi_normalization_and_range_small_hbar(rng):
+    hbar = 0.3
     window = CoherentWindow(0.5 * hbar, 0.5 * hbar, hbar=hbar)
     for _ in range(10):
         state = random_state(rng, hbar)
