@@ -191,6 +191,8 @@ def build_initial_state(cfg: dict, osc: OscillatorSpec) -> GaussianState:
 def build_times(cfg: dict) -> list[float]:
     listed = _get(cfg, "times.list", None, list)
     if listed is not None:
+        if len(listed) > MAX_ROWS:
+            raise ConfigError(f"times.list must hold at most {MAX_ROWS} times, got {len(listed)}")
         times = [_check(t, f"times.list[{i}]") for i, t in enumerate(listed)]
     else:
         n = _get(cfg, "times.n_samples", kind=int)
@@ -376,10 +378,9 @@ def cmd_steady(args) -> int:
 
 def _grid_state(args) -> tuple[Scenario, GaussianState]:
     """The scenario of a grid or kernel command and its state at --time;
-    --time, --width-sigmas and grid sizes outside their domains are a
-    ConfigError, raised before the scenario is read."""
-    if not (math.isfinite(args.time) and args.time >= 0):
-        raise ConfigError(f"--time must be finite and >= 0, got {args.time!r}")
+    --time, --width-sigmas and grid sizes outside their domains are
+    rejected before the scenario is read."""
+    propagator._check_times([args.time], "--time")
     if not (math.isfinite(args.width_sigmas) and args.width_sigmas > 0):
         raise ConfigError(f"--width-sigmas must be finite and > 0, got {args.width_sigmas!r}")
     for name in ("n_q", "n_p", "n_x"):
@@ -428,8 +429,7 @@ _PURITY_HEADER = {"sigma_det": "sigma", **{n: f"res_{n}" for n in purity.RESIDUA
 
 def cmd_purity_scan(args) -> int:
     sc = _scenario(args, "times")
-    traj = propagator.sample_trajectory(sc.osc, sc.diff, sc.state0, sc.times)
-    table = purity.purity_table(sc.osc, sc.diff, traj)
+    table = purity.purity_table(sc.osc, sc.diff, sc.state0, sc.times)
     _emit(sc.output, [_PURITY_HEADER.get(k, k) for k in table], list(table.values()))
     return 0
 

@@ -203,7 +203,7 @@ def steady_covariances(osc: OscillatorSpec, diff: DiffusionSpec) -> ScaledCovari
 
 def steady_state(osc: OscillatorSpec, diff: DiffusionSpec) -> GaussianState:
     """Asymptotic Gaussian state (zero means)."""
-    s_qq, s_pp, s_pq = steady_covariances(osc, diff).to_covariances(osc)
+    s_qq, s_pp, s_pq = map(float, steady_covariances(osc, diff).to_covariances(osc))
     return GaussianState(0.0, 0.0, s_qq, s_pp, s_pq, t=math.inf)
 
 
@@ -242,21 +242,23 @@ def evolve_covariances(
 
 
 def evolve(osc: OscillatorSpec, diff: DiffusionSpec, state0: GaussianState, t: float) -> GaussianState:
-    """Full five-moment state at time t >= 0."""
-    if not t >= 0:
-        raise ParameterError(f"t must be >= 0, got {t}")
+    """Full five-moment state at one finite time t >= 0."""
+    _check_times([t], "t")
     sq, sp = evolve_means(osc, state0, t)
     cov = evolve_covariances(osc, diff, state0, t)
-    s_qq, s_pp, s_pq = cov.to_covariances(osc)
-    return GaussianState(sq, sp, s_qq, s_pp, s_pq, t=state0.t + t)
+    s_qq, s_pp, s_pq = map(float, cov.to_covariances(osc))
+    return GaussianState(sq, sp, s_qq, s_pp, s_pq, t=float(state0.t + t))
 
 
-def _check_times(times: list) -> None:
-    """Reject a time grid with a negative or a non-increasing time."""
-    if any(t < 0 for t in times):
-        raise ParameterError("times must be >= 0")
+def _check_times(times: list, name: str = "times") -> None:
+    """The one time rule: reject an infinite, a negative or NaN, or a
+    non-increasing time; `name` is what the error message calls `times`."""
+    if any(map(math.isinf, times)):
+        raise ParameterError(f"{name} must be finite")
+    if not all(t >= 0 for t in times):  # NaN fails t >= 0 too
+        raise ParameterError(f"{name} must be >= 0")
     if any(b <= a for a, b in zip(times, times[1:])):
-        raise ParameterError("times must be strictly increasing")
+        raise ParameterError(f"{name} must be strictly increasing")
 
 
 def sample_trajectory(
@@ -264,7 +266,6 @@ def sample_trajectory(
     diff: DiffusionSpec,
     state0: GaussianState,
     times: Sequence[float],
-    thermal_temperature: float | None = None,
 ) -> Trajectory:
     """Closed-form evaluation of the state at each time, with derived
     entropy/purity scalars attached."""
@@ -283,7 +284,5 @@ def sample_trajectory(
     # Rows hold Python floats: scalar arithmetic on numpy scalars is slower.
     for t, *row in zip(t_arr.tolist(), *(m.tolist() for m in moments)):
         state = GaussianState(*row, t=state0.t + t)
-        entries.append((state, derived_scalars(
-            osc, state, diff=diff, window=window, thermal_temperature=thermal_temperature
-        )))
+        entries.append((state, derived_scalars(osc, state, diff=diff, window=window)))
     return Trajectory(entries=tuple(entries))

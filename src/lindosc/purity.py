@@ -18,7 +18,7 @@ import numpy as np
 from .entropy import purity_gamma
 from .model import DiffusionSpec, OscillatorSpec, determinant_margin, negligible, saturates
 from .phasespace import CCSpec
-from .propagator import GaussianState, Trajectory, sample_trajectory
+from .propagator import GaussianState, sample_trajectory
 
 
 @dataclass(frozen=True)
@@ -112,15 +112,20 @@ def check_pure_preserving(
 
 
 def purity_table(
-    osc: OscillatorSpec, diff: DiffusionSpec, trajectory: Trajectory
+    osc: OscillatorSpec,
+    diff: DiffusionSpec,
+    state0: GaussianState,
+    times: Sequence[float],
 ) -> dict[str, np.ndarray]:
-    """The PurityReport fields of every sample of `trajectory` as columns.
+    """The PurityReport fields along the closed-form trajectory from
+    `state0`, one row per time of `times`, as columns.
 
     Keys are t, sigma_det, gamma, r, is_pure, preserving and then RESIDUALS;
     each column equals the field of check_pure_preserving row by row, and a
     residual it does not list (the constancy at lam = 0) is NaN.  sigma_det
-    and gamma are the ones derived_scalars attached to each sample.
+    and gamma are the ones derived_scalars attaches to each sample.
     """
+    trajectory = sample_trajectory(osc, diff, state0, times)
     states = trajectory.states()
     n = len(states)
 
@@ -144,14 +149,3 @@ def purity_table(
         "preserving": preserving,
         **{name: np.full(n, conditions.get(name, math.nan)) for name in RESIDUALS},
     }
-
-
-def purity_scan(
-    osc: OscillatorSpec,
-    diff: DiffusionSpec,
-    state0: GaussianState,
-    times: Sequence[float],
-) -> list[PurityReport]:
-    """Per-time purity reports along the closed-form trajectory."""
-    traj = sample_trajectory(osc, diff, state0, times)
-    return [check_pure_preserving(osc, diff, state) for state, _ in traj]

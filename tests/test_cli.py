@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +73,43 @@ def parse_csv(text):
     reader = csv.reader(lines)
     header = next(reader)
     return header, [dict(zip(header, row)) for row in reader]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_cli_example() -> tuple[str, list[list[str]]]:
+    """The example scenario of the README's CLI section, and the argument
+    list of each command in the shell block that follows it."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    scenario = section.split("```json\n", 1)[1].split("```", 1)[0]
+    shell = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in shell.splitlines()]
+    assert all(line[0] == "lindosc" for line in lines)
+    return scenario, [line[1:] for line in lines]
+
+
+def test_readme_cli_example_runs(tmp_path, capsys):
+    scenario, commands = _readme_cli_example()
+    config = tmp_path / "scenario.json"
+    config.write_text(scenario, encoding="utf-8")
+    assert sorted(argv[0] for argv in commands) == sorted([*COMMANDS_WITH_CONFIG, "selftest"])
+    for argv in commands:
+        code = cli.main([str(config) if arg == "scenario.json" else arg for arg in argv])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), argv
+        assert out, argv
+
+
+def test_cli_import_loads_no_third_party_module_but_numpy():
+    """The runtime stays numpy-only.  Modules that site hooks load at
+    interpreter start are in sys.modules before the import, so not counted."""
+    code = ("import sys; before = set(sys.modules); import lindosc.cli; "
+            "print(sorted({name.partition('.')[0] for name in set(sys.modules) - before}"
+            " - sys.stdlib_module_names))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "['lindosc', 'numpy']\n"
 
 
 def test_validate_pass(tmp_path):
@@ -770,10 +808,11 @@ def no_propagation(monkeypatch):
     def called(*args, **kwargs):
         raise AssertionError("scenario errors must be reported before any propagation")
 
-    from lindosc import phasespace, propagator
+    from lindosc import phasespace, propagator, purity
     for module, name in ((phasespace, "wigner_grid"), (phasespace, "husimi_grid"),
                          (phasespace, "density_kernel_at"), (propagator, "evolve"),
-                         (propagator, "sample_trajectory"), (propagator, "steady_state")):
+                         (propagator, "sample_trajectory"), (propagator, "steady_state"),
+                         (purity, "sample_trajectory")):
         monkeypatch.setattr(module, name, called)
 
 
@@ -908,6 +947,21 @@ def test_oversized_output_rejected_before_allocation(tmp_path, capsys, no_alloca
 def test_output_at_the_cap_passes_the_size_check(tmp_path, no_allocation, name):
     with pytest.raises(AssertionError, match="before any"):
         cli.main(_sized_argv(tmp_path, *AT_THE_CAP[name]))
+
+
+@pytest.mark.parametrize("command", ["evolve", "purity-scan"])
+def test_times_list_over_the_cap_rejected_before_propagation(tmp_path, capsys,
+                                                              no_propagation, command):
+    # entries that fail their own check, so that the cap must come first
+    config = write_config(tmp_path, _bad_times(list=["x"] * (cli.MAX_ROWS + 1)))
+    assert _main_error(capsys, [command, "--config", config]) == (1, "", [
+        f"error: times.list must hold at most {cli.MAX_ROWS} times, got {cli.MAX_ROWS + 1}"])
+
+
+def test_times_list_at_the_cap_passes_the_size_check(tmp_path, no_propagation):
+    config = write_config(tmp_path, _bad_times(list=list(range(cli.MAX_ROWS))))
+    with pytest.raises(AssertionError, match="before any"):
+        cli.main(["purity-scan", "--config", config])
 
 
 def _diffusion_block(rng, source: str, osc: OscillatorSpec) -> dict:

@@ -261,9 +261,7 @@ def test_sample_trajectory_scalars_monotone_entropy():
     osc = OscillatorSpec(mass=1, omega=1, lam=0.2, mu=0.0)
     diff = preset_gibbs(osc, temperature=2.0)
     times = np.linspace(0.0, 40.0, 81)
-    traj = sample_trajectory(
-        osc, diff, ground_state(osc), times, thermal_temperature=2.0
-    )
+    traj = sample_trajectory(osc, diff, ground_state(osc), times)
     s_vals = [scalars.s_vn for _, scalars in traj.entries]
     assert s_vals[0] == 0.0
     assert all(b >= a - 1e-12 for a, b in zip(s_vals, s_vals[1:]))

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from lindosc import (
+    CCSpec,
     DiffusionSpec,
     GaussianState,
     OscillatorSpec,
@@ -250,6 +252,9 @@ def test_trajectory_rejects_bad_times():
         ([1.0, 0.5], "times must be strictly increasing"),
         ([0.0, 1.0, 1.0], "times must be strictly increasing"),
         ([-1.0, 0.5], "times must be >= 0"),
+        ([0.0, math.nan], "times must be >= 0"),
+        ([0.0, math.inf], "times must be finite"),
+        ([-math.inf, 0.0], "times must be finite"),
     ):
         with pytest.raises(ParameterError, match=f"^{message}$"):
             sample_trajectory(osc, diff, ground_state(osc), times)
@@ -260,6 +265,28 @@ def test_evolve_rejects_negative_time(t):
     osc = OscillatorSpec(mass=1, omega=1, lam=0.2)
     with pytest.raises(ParameterError, match="t must be >= 0"):
         evolve(osc, preset_gibbs(osc, 1.0), ground_state(osc), t)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf])
+def test_evolve_rejects_infinite_time(t):
+    osc = OscillatorSpec(mass=1, omega=1, lam=0.2)
+    with pytest.raises(ParameterError, match="^t must be finite$"):
+        evolve(osc, preset_gibbs(osc, 1.0), ground_state(osc), t)
+
+
+@pytest.mark.parametrize("lam", [0.2, 0.0])
+def test_returned_states_hold_python_floats(lam):
+    osc = OscillatorSpec(mass=1.0, omega=1.0, lam=lam, mu=0.1)
+    diff = DiffusionSpec(0.3, 0.4, 0.05)
+    start = CCSpec(eta=0.8, r=0.3, alpha=1 + 0.5j).state()
+    states = [ground_state(osc), start, evolve(osc, diff, start, 2.0),
+              evolve(osc, diff, start, np.float64(0.5)),
+              *sample_trajectory(osc, diff, start, np.linspace(0.0, 3.0, 4)).states()]
+    if lam > 0:
+        states.append(steady_state(osc, diff))
+    for state in states:
+        for field in dataclasses.fields(state):
+            assert type(getattr(state, field.name)) is float, (state, field.name)
 
 
 def test_uncertainty_preserved_along_evolution(rng):

@@ -8,6 +8,7 @@ from lindosc import (
     DiffusionSpec,
     GaussianState,
     OscillatorSpec,
+    ParameterError,
     ground_state,
     preset_gibbs,
     preset_pure_state,
@@ -20,7 +21,6 @@ from lindosc.purity import (
     check_pure_preserving,
     correlation_coefficient,
     identify_ccs,
-    purity_scan,
     purity_table,
 )
 from lindosc.sweeps import random_diffusion, random_oscillator, random_state
@@ -119,19 +119,19 @@ def test_purity_scan_pure_manifold_stays_pure():
     diff = preset_pure_state(osc)
     steady = steady_state(osc, diff)
     start = GaussianState(1.0, -0.4, steady.sigma_qq, steady.sigma_pp, steady.sigma_pq)
-    reports = purity_scan(osc, diff, start, np.linspace(0, 30, 61))
-    for rep in reports:
-        assert rep.is_pure
-        assert rep.gamma == pytest.approx(1.0, abs=1e-12)
-        assert rep.preserving
-        assert rep.ccs is not None
+    times = np.linspace(0, 30, 61)
+    table = purity_table(osc, diff, start, times)
+    assert table["is_pure"].all()
+    assert table["gamma"] == pytest.approx(1.0, abs=1e-12)
+    assert table["preserving"].all()
+    for state in sample_trajectory(osc, diff, start, times).states():
+        assert identify_ccs(state, osc.hbar) is not None
 
 
 def test_purity_scan_gibbs_decoheres_monotonically():
     osc = OscillatorSpec(mass=1, omega=1, lam=0.2, mu=0.0)
     diff = preset_gibbs(osc, temperature=2.0)
-    reports = purity_scan(osc, diff, ground_state(osc), np.linspace(0, 60, 121))
-    gammas = [rep.gamma for rep in reports]
+    gammas = purity_table(osc, diff, ground_state(osc), np.linspace(0, 60, 121))["gamma"]
     assert gammas[0] == pytest.approx(1.0, abs=1e-12)
     assert all(b <= a + 1e-12 for a, b in zip(gammas, gammas[1:]))
     gamma_inf = 0.5 / math.sqrt(steady_state(osc, diff).uncertainty_det)
@@ -143,10 +143,9 @@ def test_purity_scan_off_manifold_start_bounded():
     osc = OscillatorSpec(mass=1, omega=1, lam=0.15, mu=0.1)
     diff = preset_pure_state(osc)
     start = CCSpec(eta=1.3, r=0.4, alpha=0.2 + 0.1j).state()
-    reports = purity_scan(osc, diff, start, np.linspace(0, 100, 81))
-    for rep in reports:
-        assert rep.gamma <= 1.0 + 1e-12
-    assert reports[-1].gamma == pytest.approx(1.0, abs=1e-8)
+    gammas = purity_table(osc, diff, start, np.linspace(0, 100, 81))["gamma"]
+    assert (gammas <= 1.0 + 1e-12).all()
+    assert gammas[-1] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_energy_minimal_on_pure_manifold(rng):
@@ -201,9 +200,10 @@ def test_purity_table_equals_reports_row_by_row(rng, kind):
     flags = np.zeros(2, dtype=int)
     for _ in range(8):
         osc, diff, start = _table_scenario(rng, kind)
-        traj = sample_trajectory(osc, diff, start, np.linspace(0, 40, 41))
-        table = purity_table(osc, diff, traj)
-        reports = [check_pure_preserving(osc, diff, state) for state in traj.states()]
+        times = np.linspace(0, 40, 41)
+        table = purity_table(osc, diff, start, times)
+        reports = [check_pure_preserving(osc, diff, state)
+                   for state in sample_trajectory(osc, diff, start, times).states()]
         assert list(table) == ["t", "sigma_det", "gamma", "r", "is_pure", "preserving",
                                *RESIDUALS]
         for field in ("t", "sigma_det", "gamma", "r", "is_pure", "preserving"):
@@ -220,8 +220,17 @@ def test_purity_table_equals_reports_row_by_row(rng, kind):
         assert np.isnan(table["constant_sigma_qq"]).all()
 
 
+@pytest.mark.parametrize("t,message", [(math.nan, "must be >= 0"), (math.inf, "must be finite"),
+                                       (-math.inf, "must be finite")])
+def test_purity_table_rejects_non_finite_time(t, message):
+    osc = OscillatorSpec(mass=1, omega=1, lam=0.2, mu=0.1)
+    diff = preset_gibbs(osc, temperature=1.5)
+    with pytest.raises(ParameterError, match=f"^times {message}$"):
+        purity_table(osc, diff, ground_state(osc), [0.0, t])
+
+
 def test_purity_table_of_empty_trajectory():
     osc = OscillatorSpec(mass=1, omega=1, lam=0.2, mu=0.1)
     diff = preset_gibbs(osc, temperature=1.5)
-    table = purity_table(osc, diff, sample_trajectory(osc, diff, ground_state(osc), []))
+    table = purity_table(osc, diff, ground_state(osc), [])
     assert all(column.shape == (0,) for column in table.values())
