@@ -40,8 +40,8 @@ RUN_COLUMNS = (
 )
 
 # Most rows or grid points one command may emit: times.n_samples, --n-q * --n-p
-# and --n-x**2.  A 1024 x 1024 grid fits; an evolve of this many rows peaks at
-# about 2-4 GB of memory.
+# and --n-x**2.  A 1024 x 1024 grid fits; evolve holds about 1.5 kB per row
+# (181 MB peak at 100,001 rows, measured).
 MAX_ROWS = 2**20
 
 
@@ -233,6 +233,10 @@ def _json_cells(column: np.ndarray) -> list[str]:
     return ["null" if v != v else repr(v) for v in column.tolist()]
 
 
+# Most rows of a column table that _emit formats and writes at a time.
+_BLOCK_ROWS = 1024
+
+
 def _emit(output: tuple[str, str | None], header: list[str], columns: list,
           comments: list[str] | None = None, axes: tuple = ()) -> None:
     """Write one row per point, one field per header entry, in the format
@@ -244,52 +248,76 @@ def _emit(output: tuple[str, str | None], header: list[str], columns: list,
     value per row; a 2-D array is read in row-major order, so point (i, j)
     of a grid is index i * len(axes[1]) + j.  A float column holding +-inf
     raises ConsistencyError.  CSV prints numbers with 17 significant digits
-    and bools as true/false.  It formats each axis value once and fills one
-    outer-axis block at a time; without axes the body is one block with an
-    empty prefix.  JSON expands the axes into columns, prints NaN as null
-    and fills one row template per point, as json.dumps(indent=1) would.
+    and bools as true/false.  JSON prints NaN as null and lays the rows out
+    as json.dumps(indent=1) would.
+
+    Every check runs before the first byte is written.  The rows are then
+    written one block at a time, one outer-axis row of a grid or at most
+    _BLOCK_ROWS rows of a table, so memory does not grow with the output.
+    The template of a full block is built once, each axis value formatted once.
     """
     fmt, path = output
     columns = [np.ravel(c) for c in columns]
     for name, c in zip(header, [*axes, *columns]):
         if c.dtype.kind == "f" and np.isinf(c).any():
             raise ConsistencyError(f"output column {name} holds an infinite value")
+    n_rows = len(columns[0])
     if fmt == "csv":
-        template = ",".join("%.17g" if c.dtype.kind in "fiu" else "%s" for c in columns) + "\n"
+        specs = ["%.17g" if c.dtype.kind in "fiu" else "%s" for c in columns]
         columns = [np.where(c, "true", "false") if c.dtype == bool else c for c in columns]
-        cells = [["%.17g," % v for v in axis.tolist()] for axis in axes]
-        outer, inner = cells or ([""], [""] * len(columns[0]))
-        block = [cell + template for cell in inner]
-        n = len(block)
-        body = "".join(
-            (prefix + prefix.join(block)) % tuple(itertools.chain.from_iterable(
-                zip(*(c[i * n:(i + 1) * n].tolist() for c in columns))
-            ))
-            for i, prefix in enumerate(outer)
-        )
-        text = "".join(f"# {line}\n" for line in comments or []) + ",".join(header) + "\n" + body
+        cells = np.ndarray.tolist
+        axis_cells = [["%.17g" % v for v in axis.tolist()] for axis in axes]
+        sep = tail = ""
+        head = "".join(f"# {line}\n" for line in comments or []) + ",".join(header) + "\n"
+
+        def row(fields):
+            return ",".join(fields) + "\n"
     else:
-        points = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
-        cells = [_json_cells(c) for c in points + columns]
-        row = "  {\n" + ",\n".join(
-            f"   {json.dumps(name).replace('%', '%%')}: %s" for name in header
-        ) + "\n  }"
+        specs = ["%s"] * len(columns)
+        cells = _json_cells
+        axis_cells = [_json_cells(axis) for axis in axes]
+        sep = ",\n"
         payload = {"rows": []}
         if comments:
             payload["metadata"] = comments
         text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
-        if cells[0]:
-            body = ",\n".join([row] * len(cells[0])) % tuple(
-                itertools.chain.from_iterable(zip(*cells)))
-            text = text.replace('"rows": []', '"rows": [\n' + body + "\n ]", 1)
+        head, _, tail = text.partition("[]")  # the rows, the first key
+        head += "[\n" if n_rows else "[]"
+        tail = ("\n ]" if n_rows else "") + tail
+        keys = [f"   {json.dumps(name).replace('%', '%%')}: " for name in header]
+
+        def row(fields):
+            return "  {\n" + ",\n".join(map(str.__add__, keys, fields)) + "\n  }"
+
+    size = len(axes[1]) if axes else _BLOCK_ROWS
+    if axes:
+        outer, inner = axis_cells
+        # "\0" marks the outer axis cell, which no formatted number holds.
+        # Each grid row fills it in a fresh copy of the template, not as a %
+        # argument: where the caller keeps every block, as perfbench's
+        # phase_grid does, the process then peaks 17 MB lower.
+        lines = [row(["\0", cell, *specs]) for cell in inner]
+    else:
+        outer, lines = itertools.repeat(""), [row(specs)] * size
+    full = sep.join(lines)
+
+    def blocks():
+        for start, outer_cell in zip(range(0, n_rows, size), outer):
+            values = [cells(c[start:start + size]) for c in columns]
+            form = full if len(values[0]) == size else sep.join(lines[:len(values[0])])
+            yield (sep if start else "") + form.replace("\0", outer_cell) % tuple(
+                itertools.chain.from_iterable(zip(*values)))
+
+    parts = itertools.chain([head], blocks(), [tail])
     if path:
         try:
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(parts)
         except OSError as exc:
             raise ConfigError(f"cannot write output: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        for part in parts:
+            sys.stdout.write(part)
 
 
 def _run_row(t, state: GaussianState, scalars: entropy.DerivedScalars, osc) -> list:

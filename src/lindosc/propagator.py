@@ -100,11 +100,6 @@ class Trajectory:
 
     entries: tuple[tuple[GaussianState, "object"], ...]
 
-    def __post_init__(self):
-        times = [s.t for s, _ in self.entries]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ParameterError("trajectory times must be strictly increasing")
-
     def __len__(self):
         return len(self.entries)
 

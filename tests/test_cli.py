@@ -1,9 +1,11 @@
+import contextlib
 import csv
 import hashlib
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -211,7 +213,7 @@ def test_evolve_json_format(tmp_path):
     assert isinstance(first["gamma"], float)
 
 
-def test_evolve_output_file(tmp_path):
+def test_evolve_output_file(tmp_path, capsys):
     cfg = write_config(tmp_path, gibbs_config())
     target = tmp_path / "run.csv"
     proc = run_cli("evolve", "--config", cfg, "--out", str(target))
@@ -219,6 +221,15 @@ def test_evolve_output_file(tmp_path):
     assert proc.stdout == ""
     header, rows = parse_csv(target.read_text())
     assert len(rows) == 11
+    # Enough rows for several output blocks: the file holds the stdout bytes.
+    # In-process, so that a file the writer leaves open warns in this process.
+    cfg = write_config(tmp_path, gibbs_config(times={
+        "t_start": 0.0, "t_end": 50.0, "n_samples": 2 * cli._BLOCK_ROWS + 1}))
+    for fmt in ("csv", "json"):
+        assert cli.main(["evolve", "--config", cfg, "--format", fmt, "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert cli.main(["evolve", "--config", cfg, "--format", fmt]) == 0
+        assert target.read_bytes() == capsys.readouterr().out.encode("utf-8")
 
 
 def test_steady_command(tmp_path):
@@ -700,6 +711,18 @@ def test_emit_axes_match_expanded_columns(capsys, fmt):
         assert with_axes.splitlines()[2:5] == [
             "-1.5,-0,-7,true", "-1.5,0.10000000000000001,-6,false", "-1.5,7,-5,true",
         ]
+    # Grids of 1, B, B + 1 and 2B + 1 points, B = cli._BLOCK_ROWS, so that the
+    # expanded tables end on and just past a block boundary.
+    for n_q, n_p in ((1, 1), (4, cli._BLOCK_ROWS // 4), (25, 41), (3, 683)):
+        q, p = np.linspace(-1.0, 1.0, n_q) / 3, np.linspace(-2.0, 5.0, n_p) / 7
+        values = np.cos(np.add.outer(q, p) * 9)
+        values[-1, 0] = math.nan
+        flags = values > 0
+        cli._emit(output, header, [values, flags], ["measure=test"], axes=(q, p))
+        with_axes = capsys.readouterr().out
+        expanded = [np.repeat(q, n_p), np.tile(p, n_q), values.ravel(), flags.ravel()]
+        cli._emit(output, header, expanded, ["measure=test"])
+        assert with_axes == capsys.readouterr().out
 
 
 def _json_reference(header, columns, comments, axes):
@@ -733,12 +756,65 @@ JSON_CASES = {
 }
 
 
+def _table_case(rows: int) -> tuple:
+    t = np.arange(rows) / 7
+    value = np.where(np.arange(rows) % 5 == 4, math.nan, -t)
+    return ["t", "flag", "value"], [t, t > 0.5, value], ["measure=dqdp"] if rows > 1 else None, ()
+
+
+# Tables that end on and just past a block boundary.
+JSON_CASES.update({
+    f"{rows}-rows": _table_case(rows)
+    for rows in (1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 2 * cli._BLOCK_ROWS + 1)
+})
+
+
 @pytest.mark.parametrize("case", JSON_CASES)
 def test_emit_json_matches_json_dumps(capsys, case):
     header, columns, comments, axes = JSON_CASES[case]
     output = ("json", None)
     cli._emit(output, header, columns, comments, axes=axes)
     assert capsys.readouterr().out == _json_reference(header, columns, comments, axes)
+
+
+class _CountingSink:
+    """Stand-in for stdout that counts the characters written and keeps none."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text: str) -> int:
+        self.written += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", ["grid-512x512", "table-10001x15"])
+def test_emit_memory_stays_below_the_output_size(fmt, case):
+    # The peak allocation inside _emit, against the characters written: under
+    # 1/8 of them for a grid, under all of them for a table.
+    rng = np.random.default_rng(1)
+    if case == "grid-512x512":
+        header, axes = ["q", "p", "value"], (np.linspace(-3, 3, 512), np.linspace(-2, 2, 512))
+        columns, share = [rng.random((512, 512))], 1 / 8
+    else:
+        header, axes = [f"c{i}" for i in range(15)], ()
+        columns, share = list(rng.random((15, 10_001))), 1.0
+    sink = _CountingSink()
+    outer_trace = tracemalloc.is_tracing()
+    if not outer_trace:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with contextlib.redirect_stdout(sink):
+            cli._emit((fmt, None), header, columns, ["measure=test"], axes=axes)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not outer_trace:
+            tracemalloc.stop()
+    assert sink.written > 2_000_000
+    assert peak < share * sink.written
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

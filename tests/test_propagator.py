@@ -260,6 +260,15 @@ def test_trajectory_rejects_bad_times():
             sample_trajectory(osc, diff, ground_state(osc), times)
 
 
+def test_trajectory_times_checked_once_on_the_grid():
+    # The grid is valid; state0.t + t rounds both samples to 1e17, which
+    # a second check on the state times would reject.
+    osc = OscillatorSpec(mass=1, omega=1, lam=0.2)
+    state0 = GaussianState(0.0, 0.0, 0.5, 0.5, 0.0, t=1e17)
+    traj = sample_trajectory(osc, preset_gibbs(osc, 1.0), state0, [0.0, 1.0])
+    assert len(traj) == 2
+
+
 @pytest.mark.parametrize("t", [-1.0, -1e-300, math.nan])
 def test_evolve_rejects_negative_time(t):
     osc = OscillatorSpec(mass=1, omega=1, lam=0.2)
