@@ -1,10 +1,13 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -30,11 +33,17 @@ from lindosc.entropy import von_neumann_entropy
 from lindosc.sweeps import random_diffusion, random_oscillator, random_state
 
 
+# The child runs in development mode with ResourceWarning as an error, as the
+# tests do, so that a file a real run leaves open shows on its stderr.
+DEV_MODE = {"PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error::ResourceWarning"}
+
+
 def run_cli(*argv, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "lindosc", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, **DEV_MODE},
         **kwargs,
     )
 
@@ -54,6 +63,19 @@ def gibbs_config(**over):
     }
     cfg.update(over)
     return cfg
+
+
+def _evolve_config(tmp_path, blocks: int = 3):
+    """A scenario whose evolve output is a table of `blocks` output blocks."""
+    return write_config(tmp_path, gibbs_config(times={
+        "t_start": 0.0, "t_end": 50.0, "n_samples": (blocks - 1) * cli._BLOCK_ROWS + 1}))
+
+
+# Blocks of an evolve table that a host with an idle CPU formats in two
+# processes, the fewest: the blocks formatted while the idle CPUs are
+# counted, then two shares of cli._SHARE_CELLS cells.
+_CELLS = cli._BLOCK_ROWS * len(cli.RUN_COLUMNS)
+FORKING_BLOCKS = -(-cli._PROBE_CELLS // _CELLS) + 2 * -(-cli._SHARE_CELLS // _CELLS)
 
 
 def pure_config():
@@ -214,22 +236,19 @@ def test_evolve_json_format(tmp_path):
 
 
 def test_evolve_output_file(tmp_path, capsys):
-    cfg = write_config(tmp_path, gibbs_config())
-    target = tmp_path / "run.csv"
-    proc = run_cli("evolve", "--config", cfg, "--out", str(target))
-    assert proc.returncode == 0
-    assert proc.stdout == ""
-    header, rows = parse_csv(target.read_text())
-    assert len(rows) == 11
-    # Enough rows for several output blocks: the file holds the stdout bytes.
-    # In-process, so that a file the writer leaves open warns in this process.
-    cfg = write_config(tmp_path, gibbs_config(times={
-        "t_start": 0.0, "t_end": 50.0, "n_samples": 2 * cli._BLOCK_ROWS + 1}))
+    # Enough rows for a host with an idle CPU to format them in two
+    # processes: the file holds the stdout bytes, and the dev-mode child
+    # reports no file or spill file left open.
+    blocks = FORKING_BLOCKS
+    cfg = _evolve_config(tmp_path, blocks)
+    target = tmp_path / "run.out"
     for fmt in ("csv", "json"):
-        assert cli.main(["evolve", "--config", cfg, "--format", fmt, "--out", str(target)]) == 0
-        assert capsys.readouterr().out == ""
+        proc = run_cli("evolve", "--config", cfg, "--format", fmt, "--out", str(target))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
         assert cli.main(["evolve", "--config", cfg, "--format", fmt]) == 0
         assert target.read_bytes() == capsys.readouterr().out.encode("utf-8")
+        if fmt == "csv":
+            assert len(parse_csv(target.read_text())[1]) == (blocks - 1) * cli._BLOCK_ROWS + 1
 
 
 def test_steady_command(tmp_path):
@@ -711,18 +730,26 @@ def test_emit_axes_match_expanded_columns(capsys, fmt):
         assert with_axes.splitlines()[2:5] == [
             "-1.5,-0,-7,true", "-1.5,0.10000000000000001,-6,false", "-1.5,7,-5,true",
         ]
-    # Grids of 1, B, B + 1 and 2B + 1 points, B = cli._BLOCK_ROWS, so that the
-    # expanded tables end on and just past a block boundary.
-    for n_q, n_p in ((1, 1), (4, cli._BLOCK_ROWS // 4), (25, 41), (3, 683)):
-        q, p = np.linspace(-1.0, 1.0, n_q) / 3, np.linspace(-2.0, 5.0, n_p) / 7
-        values = np.cos(np.add.outer(q, p) * 9)
-        values[-1, 0] = math.nan
-        flags = values > 0
-        cli._emit(output, header, [values, flags], ["measure=test"], axes=(q, p))
+    for n_q, n_p in GRID_SHAPES:
+        columns, axes = _grid_case(n_q, n_p)
+        cli._emit(output, header, columns, ["measure=test"], axes=axes)
         with_axes = capsys.readouterr().out
-        expanded = [np.repeat(q, n_p), np.tile(p, n_q), values.ravel(), flags.ravel()]
+        expanded = [np.repeat(axes[0], n_p), np.tile(axes[1], n_q), *map(np.ravel, columns)]
         cli._emit(output, header, expanded, ["measure=test"])
         assert with_axes == capsys.readouterr().out
+
+
+# Grids of 1, B, B + 1 and 2B + 1 points, B = cli._BLOCK_ROWS, so that the
+# expanded tables end on and just past a block boundary.
+GRID_SHAPES = ((1, 1), (4, cli._BLOCK_ROWS // 4), (25, 41), (3, 683))
+
+
+def _grid_case(n_q: int, n_p: int) -> tuple:
+    """The value and flag columns and the axes of an n_q x n_p test grid."""
+    q, p = np.linspace(-1.0, 1.0, n_q) / 3, np.linspace(-2.0, 5.0, n_p) / 7
+    values = np.cos(np.add.outer(q, p) * 9)
+    values[-1, 0] = math.nan
+    return [values, values > 0], (q, p)
 
 
 def _json_reference(header, columns, comments, axes):
@@ -767,6 +794,13 @@ JSON_CASES.update({
     f"{rows}-rows": _table_case(rows)
     for rows in (1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 2 * cli._BLOCK_ROWS + 1)
 })
+# Non-ASCII text over three blocks, which more than one process may format.
+JSON_CASES["3-blocks-non-ascii"] = (
+    ["t", "name"],
+    [np.arange(2 * cli._BLOCK_ROWS + 1) / 7,
+     [f"\u00e9{k}\u2603" for k in range(2 * cli._BLOCK_ROWS + 1)]],
+    None, (),
+)
 
 
 @pytest.mark.parametrize("case", JSON_CASES)
@@ -775,6 +809,191 @@ def test_emit_json_matches_json_dumps(capsys, case):
     output = ("json", None)
     cli._emit(output, header, columns, comments, axes=axes)
     assert capsys.readouterr().out == _json_reference(header, columns, comments, axes)
+
+
+@pytest.fixture
+def spills(monkeypatch):
+    """The spill files _emit opens for its children, as it opens them.  One
+    block is counted as enough for a share, so that small outputs fork too."""
+    monkeypatch.setattr(cli, "_PROBE_CELLS", 1)
+    monkeypatch.setattr(cli, "_SHARE_CELLS", 1)
+    opened = []
+    make = tempfile.TemporaryFile
+
+    def record(*args, **kwargs):
+        opened.append(make(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", record)
+    return opened
+
+
+def _assert_cleaned_up(spills):
+    """Every spill file closed, and no child process left, reaped or not."""
+    assert all(f.closed for f in spills)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _set_cpus(monkeypatch, cpus: int) -> None:
+    """Make _emit format on `cpus` CPUs, as if all but one sat idle."""
+    monkeypatch.setattr(cli, "_spare_cpus", lambda before: cpus - 1)
+
+
+def _emit_with(monkeypatch, capsys, cpus, *args, **kwargs) -> str:
+    """What _emit writes to stdout when it may format on `cpus` CPUs."""
+    _set_cpus(monkeypatch, cpus)
+    cli._emit(*args, **kwargs)
+    return capsys.readouterr().out
+
+
+def _grid_emit(fmt: str, shape: tuple) -> tuple:
+    """The arguments and keyword arguments of _emit for a test grid."""
+    columns, axes = _grid_case(*shape)
+    return ((fmt, None), ["q", "p", "value", "flag"], columns, ["measure=test"]), {"axes": axes}
+
+
+# 64 is more than any case below has blocks: every block is then a share.
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+def test_emit_bytes_equal_at_every_worker_count(tmp_path, monkeypatch, capsys, spills, cpus):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    for case, (header, columns, comments, axes) in JSON_CASES.items():
+        out = _emit_with(monkeypatch, capsys, cpus, ("json", None), header, columns, comments,
+                         axes=axes)
+        assert out == _json_reference(header, columns, comments, axes), case
+        _assert_cleaned_up(spills)
+    for fmt in ("csv", "json"):
+        for shape in GRID_SHAPES:
+            args, kwargs = _grid_emit(fmt, shape)
+            assert (_emit_with(monkeypatch, capsys, cpus, *args, **kwargs)
+                    == _emit_with(monkeypatch, capsys, 1, *args, **kwargs)), (fmt, shape)
+            _assert_cleaned_up(spills)
+    # A table of three blocks through main, to --out and to stdout.
+    cfg = _evolve_config(tmp_path)
+    target = tmp_path / "run.out"
+    for fmt in ("csv", "json"):
+        argv = ["evolve", "--config", cfg, "--format", fmt]
+        _set_cpus(monkeypatch, 1)
+        assert cli.main(argv) == 0
+        serial = capsys.readouterr().out
+        _set_cpus(monkeypatch, cpus)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == serial
+        assert cli.main([*argv, "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == serial.encode("utf-8")
+        _assert_cleaned_up(spills)
+    assert bool(forks) == (cpus > 1) and len(spills) == len(forks)
+
+
+def _fork_raises():
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+def _child_exits_3(fork=os.fork):
+    pid = fork()
+    if pid == 0:
+        os._exit(3)
+    return pid
+
+
+@pytest.mark.parametrize("fork", [_fork_raises, _child_exits_3],
+                         ids=["fork-raises", "child-exits-3"])
+def test_emit_formats_a_failed_share_itself(monkeypatch, capsys, spills, fork):
+    # Each share whose child cannot start or fails is formatted in the parent.
+    monkeypatch.setattr(os, "fork", fork)
+    for fmt in ("csv", "json"):
+        for shape in ((25, 41), (3, 683)):
+            args, kwargs = _grid_emit(fmt, shape)
+            assert (_emit_with(monkeypatch, capsys, 3, *args, **kwargs)
+                    == _emit_with(monkeypatch, capsys, 1, *args, **kwargs)), (fmt, shape)
+            _assert_cleaned_up(spills)
+        header, columns, _, _ = JSON_CASES["3-blocks-non-ascii"]
+        assert (_emit_with(monkeypatch, capsys, 3, (fmt, None), header, columns)
+                == _emit_with(monkeypatch, capsys, 1, (fmt, None), header, columns))
+        _assert_cleaned_up(spills)
+    assert spills
+
+
+class _FailingSink:
+    """Stand-in for stdout that takes the first `ok` writes and raises on the
+    next."""
+
+    def __init__(self, error: BaseException, ok: int):
+        self.error, self.ok = error, ok
+
+    def write(self, text: str) -> int:
+        self.ok -= 1
+        if self.ok < 0:
+            raise self.error
+        return len(text)
+
+
+@pytest.mark.parametrize("error", [OSError(errno.EPIPE, "Broken pipe"), KeyboardInterrupt()],
+                         ids=["broken-pipe", "interrupt"])
+def test_emit_write_error_propagates_and_leaves_nothing(monkeypatch, spills, error):
+    _set_cpus(monkeypatch, 3)
+    columns, axes = _grid_case(25, 41)
+    # The head and the first block go through; the forks follow.
+    with contextlib.redirect_stdout(_FailingSink(error, 2)), pytest.raises(type(error)):
+        cli._emit(("csv", None), ["q", "p", "value", "flag"], columns, axes=axes)
+    assert len(spills) == 2
+    _assert_cleaned_up(spills)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_output_device_exits_one(tmp_path, monkeypatch, capsys, spills):
+    # /dev/full takes the open and fails the first flush, after the forks:
+    # the head and the first block of this grid fit the file's buffer.
+    _set_cpus(monkeypatch, 3)
+    cfg = write_config(tmp_path, gibbs_config())
+    argv = ["wigner-grid", "--config", cfg, "--n-q", "200", "--n-p", "10", "--out", "/dev/full"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot write output: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n")
+    assert spills
+    _assert_cleaned_up(spills)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+def test_write_blocks_forks_only_for_shares_of_enough_cells(monkeypatch, cpus):
+    # The parent formats the fewest blocks with _PROBE_CELLS cells first.  A
+    # child's share holds at least the fewest blocks with _SHARE_CELLS cells
+    # and at most _MOST_SHARES times as many; one share per CPU where the
+    # rest has enough of them, else fewer CPUs; the blocks come out in order.
+    monkeypatch.setattr(cli, "_PROBE_CELLS", 50)
+    monkeypatch.setattr(cli, "_SHARE_CELLS", 100)
+    _set_cpus(monkeypatch, cpus)
+    children = []
+    # A child that cannot start: its share is then formatted in the parent.
+    monkeypatch.setattr(cli, "_spill_share", lambda block, share: children.append(share))
+    for block_cells in (1, 7, 30, 100, 250):
+        least, probe = -(-100 // block_cells), -(-50 // block_cells)
+        for n in range(0, 200, 3):
+            children.clear()
+            out = []
+            cli._write_blocks(out.append, str, n, block_cells)
+            assert out == list(map(str, range(n)))
+            assert all(least <= len(share) <= cli._MOST_SHARES * least for share in children)
+            rest = max(0, n - probe)
+            assert all(share[0] >= probe for share in children)
+            workers = max(1, min(cpus, rest // least))
+            rounds = -(-rest // (cli._MOST_SHARES * least * workers))
+            assert len(children) == (workers - 1) * rounds, (block_cells, n)
+
+
+def test_spare_cpus_from_two_readings(monkeypatch):
+    # The idle CPU seconds between two readings over the seconds between.
+    before = cli._idle_cpu_time()
+    if before is not None:
+        assert 0 <= cli._spare_cpus(before) <= len(os.sched_getaffinity(0))
+    # On three CPUs: at most the two this process did not run on.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(cli, "_idle_cpu_time", lambda: (10.5, 103.0))
+    readings = [(10.0, 102.4), (9.0, 100.0), (10.0, 99.0), (10.0, 103.0), (10.5, 100.0), None]
+    assert [cli._spare_cpus(b) for b in readings] == [1, 2, 2, 0, 0, 0]
 
 
 class _CountingSink:
@@ -788,11 +1007,9 @@ class _CountingSink:
         return len(text)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("case", ["grid-512x512", "table-10001x15"])
-def test_emit_memory_stays_below_the_output_size(fmt, case):
-    # The peak allocation inside _emit, against the characters written: under
-    # 1/8 of them for a grid, under all of them for a table.
+def _emit_peak_share(fmt: str, case: str) -> float:
+    """The peak allocation inside _emit per character written, as a share of
+    its bound: 1/8 of a character for a grid, one for a table."""
     rng = np.random.default_rng(1)
     if case == "grid-512x512":
         header, axes = ["q", "p", "value"], (np.linspace(-3, 3, 512), np.linspace(-2, 2, 512))
@@ -814,7 +1031,32 @@ def test_emit_memory_stays_below_the_output_size(fmt, case):
         if not outer_trace:
             tracemalloc.stop()
     assert sink.written > 2_000_000
-    assert peak < share * sink.written
+    return peak / sink.written / share
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", ["grid-512x512", "table-10001x15"])
+def test_emit_memory_stays_below_the_output_size(monkeypatch, fmt, case):
+    # On one CPU the parent formats every block, so the bound covers them all.
+    _set_cpus(monkeypatch, 1)
+    assert _emit_peak_share(fmt, case) < 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", ["grid-512x512", "table-10001x15"])
+def test_emit_memory_with_forked_shares(monkeypatch, fmt, case):
+    # On two CPUs the parent formats half the shares and copies the others
+    # out of the children's spill files, in chunks of about one block.  The
+    # shares are small enough for the table to fork too.
+    monkeypatch.setattr(cli, "_SHARE_CELLS", 2**14)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    _set_cpus(monkeypatch, 2)
+    assert _emit_peak_share(fmt, case) < 1
+    assert forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
