@@ -162,7 +162,7 @@ def derived_scalars(
     purity field derives from one validated determinant.
     """
     hbar = osc.hbar
-    window = window or CoherentWindow.matched(osc)
+    window = window or osc._window
     det = require_physical(state, hbar)
     root = math.sqrt(det)
     nu = _occupation(root, hbar)

@@ -10,7 +10,7 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -81,8 +81,9 @@ class OscillatorSpec:
     """Damped oscillator parameters: mass, frequency, friction and the
     mixing rate ``mu`` entering the Hamiltonian's symmetrized q-p term.
 
-    Only the underdamped regime ``omega > |mu|`` is supported; the shifted
-    frequency ``big_omega = sqrt(omega**2 - mu**2)`` is exposed as a property.
+    Only the underdamped regime ``omega > |mu|`` is supported.  The shifted
+    frequency ``big_omega = sqrt(omega**2 - mu**2)`` and the ``_modes`` and
+    ``_window`` constants are built once per instance; pickles hold the fields.
     """
 
     mass: float
@@ -103,6 +104,12 @@ class OscillatorSpec:
                 f"underdamped regime required: omega={self.omega} must exceed "
                 f"|mu|={abs(self.mu)}"
             )
+        try:
+            big = self.big_omega
+        except OverflowError:
+            big = math.inf
+        if not 0 < big < math.inf:
+            raise ParameterError(f"sqrt(omega**2 - mu**2) must be finite and > 0, got {big}")
         if self.lam >= self.omega:
             warnings.warn(
                 f"weak-coupling assumption strained: lam={self.lam} >= "
@@ -110,9 +117,26 @@ class OscillatorSpec:
                 stacklevel=3,
             )
 
-    @property
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @functools.cached_property
     def big_omega(self) -> float:
         return math.sqrt(self.omega**2 - self.mu**2)
+
+    @functools.cached_property
+    def _modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The propagator's mode matrix T and decay rates K, read-only."""
+        from .propagator import _decay_rates, _mode_matrix
+        tm, rates = _mode_matrix(self), _decay_rates(self)
+        tm.flags.writeable = rates.flags.writeable = False
+        return tm, rates
+
+    @functools.cached_property
+    def _window(self):
+        """The matched phasespace.CoherentWindow."""
+        from .phasespace import CoherentWindow
+        return CoherentWindow.matched(self)
 
     @property
     def hbar(self) -> float:

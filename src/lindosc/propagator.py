@@ -134,7 +134,7 @@ def _drive_vector(osc: OscillatorSpec, diff: DiffusionSpec) -> np.ndarray:
 
 
 def _real_checked(z: np.ndarray, scale: float) -> np.ndarray:
-    residue = np.max(np.abs(z.imag))
+    residue = abs(z.imag).max()
     if not negligible(residue, scale):
         raise ConsistencyError(
             f"imaginary residue {residue} exceeds tolerance at scale {scale}"
@@ -185,11 +185,11 @@ def steady_covariances(osc: OscillatorSpec, diff: DiffusionSpec) -> ScaledCovari
     mw = m * om
     explicit = np.array([mw * s_qq, s_pp / mw, s_pq])
 
-    tm = _mode_matrix(osc)
-    matrix = tm @ ((tm @ _drive_vector(osc, diff)) / _decay_rates(osc))
-    scale = np.max(np.abs(explicit))
+    tm, rates = osc._modes
+    matrix = tm @ ((tm @ _drive_vector(osc, diff)) / rates)
+    scale = abs(explicit).max()
     matrix = _real_checked(matrix, scale)
-    if not negligible(np.max(np.abs(matrix - explicit)), scale, rtol=AGREE_RTOL):
+    if not negligible(abs(matrix - explicit).max(), scale, rtol=AGREE_RTOL):
         raise ConsistencyError(
             f"steady-state cross-check failed: {explicit} vs {matrix}"
         )
@@ -211,11 +211,12 @@ def evolve_covariances(
     scaled coordinates for an array of times.  lam = 0 is supported through
     the bounded oscillatory variation-of-constants form.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    tm = _mode_matrix(osc)
-    rates = _decay_rates(osc)
-    x0 = ScaledCovariances.from_state(osc, state0).as_array()
-    decay = np.exp(-np.outer(t_arr, rates))  # (nt, 3)
+    t_arr = np.asarray(t, dtype=float)
+    t_col = t_arr.reshape(-1, 1)
+    tm, rates = osc._modes
+    mw = osc.mass * osc.omega
+    x0 = np.array([mw * state0.sigma_qq, state0.sigma_pp / mw, state0.sigma_pq])
+    decay = np.exp(-(t_col * rates))  # (nt, 3)
     if osc.lam > 0:
         xinf = steady_covariances(osc, diff).as_array()
         dev = tm @ x0.astype(complex) - tm @ xinf.astype(complex)
@@ -224,24 +225,19 @@ def evolve_covariances(
         # variation of constants: phi_i = (1 - exp(-k_i t)) / k_i, with the
         # k -> 0 limit t for the non-decaying mode
         drive = tm @ _drive_vector(osc, diff).astype(complex)
-        kt = np.outer(t_arr, rates)
-        small = np.abs(kt) < 1e-8
-        phi = np.where(small, t_arr[:, None], (1 - decay) / np.where(rates == 0, 1, rates))
-        phi = np.where(rates[None, :] == 0, t_arr[:, None], phi)
+        small = np.abs(t_col * rates) < 1e-8
+        phi = np.where(small, t_col, (1 - decay) / np.where(rates == 0, 1, rates))
+        phi = np.where(rates[None, :] == 0, t_col, phi)
         xt = (decay * (tm @ x0.astype(complex))) @ tm.T + (phi * drive) @ tm.T
-    scale = float(np.max(np.abs(xt)))
-    xt = _real_checked(xt, scale)
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return ScaledCovariances(*xt[0])
-    return xt
+    xt = _real_checked(xt, float(abs(xt).max()))
+    return ScaledCovariances(*xt[0]) if t_arr.ndim == 0 else xt
 
 
 def evolve(osc: OscillatorSpec, diff: DiffusionSpec, state0: GaussianState, t: float) -> GaussianState:
     """Full five-moment state at one finite time t >= 0."""
     _check_times([t], "t")
     sq, sp = evolve_means(osc, state0, t)
-    cov = evolve_covariances(osc, diff, state0, t)
-    s_qq, s_pp, s_pq = map(float, cov.to_covariances(osc))
+    s_qq, s_pp, s_pq = map(float, evolve_covariances(osc, diff, state0, t).to_covariances(osc))
     return GaussianState(sq, sp, s_qq, s_pp, s_pq, t=float(state0.t + t))
 
 
@@ -265,7 +261,6 @@ def sample_trajectory(
     """Closed-form evaluation of the state at each time, with derived
     entropy/purity scalars attached."""
     from .entropy import derived_scalars
-    from .phasespace import CoherentWindow
 
     times = list(times)
     _check_times(times)
@@ -274,7 +269,7 @@ def sample_trajectory(
     t_arr = np.asarray(times, dtype=float)
     cov = ScaledCovariances(*evolve_covariances(osc, diff, state0, t_arr).T)
     moments = (*evolve_means(osc, state0, t_arr), *cov.to_covariances(osc))
-    window = CoherentWindow.matched(osc)
+    window = osc._window
     entries = []
     # Rows hold Python floats: scalar arithmetic on numpy scalars is slower.
     for t, *row in zip(t_arr.tolist(), *(m.tolist() for m in moments)):

@@ -576,6 +576,29 @@ def test_bad_input_exits_one_with_one_line(tmp_path, name):
     assert proc.stderr.startswith("error: ") and key in proc.stderr
 
 
+# name -> (command, a scenario whose big_omega = sqrt(omega**2 - mu**2) float64
+# cannot hold)
+UNHELD_BIG_OMEGA = {
+    "validate-omega-1e-300": (
+        "validate",
+        {"oscillator": {"omega": 1e-300, "lambda": 0.0}, "diffusion": {"preset": "pure"}},
+    ),
+    "evolve-omega-1e200": (
+        "evolve", gibbs_config(oscillator={"m": 1.0, "omega": 1e200, "lambda": 0.2, "mu": 0.0}),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNHELD_BIG_OMEGA))
+def test_big_omega_float64_cannot_hold_exits_one(tmp_path, name):
+    command, conf = UNHELD_BIG_OMEGA[name]
+    proc = run_cli(command, "--config", write_config(tmp_path, conf))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: sqrt(omega**2 - mu**2) must be finite and > 0")
+
+
 # name -> bytes of a scenario file that json cannot read
 UNREADABLE_CONFIGS = {
     "non-utf8-byte": b'{"oscillator": {"omega": "\xff"}}',

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -77,6 +79,32 @@ def test_overdamped_rejected():
 def test_big_omega():
     osc = OscillatorSpec(mass=1, omega=1, lam=0.1, mu=0.6)
     assert osc.big_omega == pytest.approx(math.sqrt(1 - 0.36), rel=1e-15)
+
+
+@pytest.mark.parametrize("omega", [1e-300, 1e200])
+def test_big_omega_float64_cannot_hold_is_rejected(omega):
+    # 1e-300**2 rounds to 0 and 1e200**2 overflows.
+    with pytest.raises(ParameterError, match=r"sqrt\(omega\*\*2 - mu\*\*2\) must be finite"):
+        OscillatorSpec(mass=1, omega=omega, lam=0.0)
+
+
+def test_spec_constants_are_kept_on_the_instance():
+    spec = OscillatorSpec(mass=1.3, omega=0.9, lam=0.2, mu=0.1)
+    twin = OscillatorSpec(mass=1.3, omega=0.9, lam=0.2, mu=0.1)
+    pickled = pickle.dumps(spec)
+    assert spec._modes is spec._modes and spec._window is spec._window
+    assert spec._modes is not twin._modes and spec._window is not twin._window
+    for array in spec._modes:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert spec == twin and hash(spec) == hash(twin)
+    assert pickle.dumps(spec) == pickled == pickle.dumps(twin)
+    copy = pickle.loads(pickled)
+    assert copy == spec and "_modes" not in vars(copy)
+    assert not copy._modes[0].flags.writeable
+    replaced = dataclasses.replace(spec, lam=0.3)
+    assert replaced._modes is not spec._modes and replaced.lam == 0.3
 
 
 def test_strong_coupling_warns():

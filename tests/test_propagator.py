@@ -298,6 +298,22 @@ def test_returned_states_hold_python_floats(lam):
             assert type(getattr(state, field.name)) is float, (state, field.name)
 
 
+def test_scalar_evolve_is_row_zero_of_a_one_time_batch():
+    # A scalar t takes the batch arithmetic on the same shapes, so every moment
+    # equals the one row of a batch at np.array([t]) bit for bit.
+    rng = np.random.default_rng(0)
+    for i in range(400):
+        osc = random_oscillator(rng, lam_range=(0.0, 0.0) if i % 4 == 0 else (0.01, 0.3))
+        diff = random_diffusion(rng, osc)
+        state0 = random_state(rng)
+        for t in rng.uniform(0.0, 30.0, 23).tolist():
+            state = evolve(osc, diff, state0, t)
+            batch = np.array([t])
+            cov = ScaledCovariances(*evolve_covariances(osc, diff, state0, batch).T)
+            row = [*evolve_means(osc, state0, batch), *cov.to_covariances(osc)]
+            assert moments(state).tolist() == [float(c[0]) for c in row], (i, t)
+
+
 def test_uncertainty_preserved_along_evolution(rng):
     for _ in range(100):
         osc = random_oscillator(rng)
