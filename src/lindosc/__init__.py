@@ -20,7 +20,6 @@ from .phasespace import CCSpec, CoherentWindow, PhaseSpaceGrid
 from .propagator import (
     GaussianState,
     ScaledCovariances,
-    Trajectory,
     evolve,
     evolve_covariances,
     evolve_means,
@@ -45,7 +44,6 @@ __all__ = [
     "ParameterError",
     "PhaseSpaceGrid",
     "ScaledCovariances",
-    "Trajectory",
     "UnitSystem",
     "coefficients_from_ops",
     "evolve",

@@ -225,7 +225,7 @@ def _window(cfg: dict, osc: OscillatorSpec, args) -> CoherentWindow:
     if getattr(args, "window_sqq", None) is not None:
         s_qq = args.window_sqq
     if s_qq is None:
-        return CoherentWindow.matched(osc)
+        return osc._window
     return CoherentWindow.squeezed(s_qq, hbar=osc.hbar)
 
 
@@ -719,6 +719,9 @@ def main(argv=None) -> int:
             return args.func(args)
         except (ConfigError, ParameterError, InvalidStateError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except ArithmeticError as exc:  # an overflow or a division by an underflowed 0
+            print(f"error: value outside the floating-point range: {exc}", file=sys.stderr)
             return 1
         except ConsistencyError as exc:
             print(f"numerical-consistency error: {exc}", file=sys.stderr)

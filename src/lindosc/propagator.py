@@ -94,22 +94,6 @@ class ScaledCovariances:
         return np.array([self.x1, self.x2, self.x3])
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Time-ordered samples of the evolved state with derived diagnostics."""
-
-    entries: tuple[tuple[GaussianState, "object"], ...]
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def states(self) -> list[GaussianState]:
-        return [s for s, _ in self.entries]
-
-
 def _mode_matrix(osc: OscillatorSpec) -> np.ndarray:
     om, mu, big = osc.omega, osc.mu, osc.big_omega
     return (1 / (2j * big)) * np.array(
@@ -225,9 +209,7 @@ def evolve_covariances(
         # variation of constants: phi_i = (1 - exp(-k_i t)) / k_i, with the
         # k -> 0 limit t for the non-decaying mode
         drive = tm @ _drive_vector(osc, diff).astype(complex)
-        small = np.abs(t_col * rates) < 1e-8
-        phi = np.where(small, t_col, (1 - decay) / np.where(rates == 0, 1, rates))
-        phi = np.where(rates[None, :] == 0, t_col, phi)
+        phi = np.where(rates == 0, t_col, (1 - decay) / np.where(rates == 0, 1, rates))
         xt = (decay * (tm @ x0.astype(complex))) @ tm.T + (phi * drive) @ tm.T
     xt = _real_checked(xt, float(abs(xt).max()))
     return ScaledCovariances(*xt[0]) if t_arr.ndim == 0 else xt
@@ -257,22 +239,22 @@ def sample_trajectory(
     diff: DiffusionSpec,
     state0: GaussianState,
     times: Sequence[float],
-) -> Trajectory:
-    """Closed-form evaluation of the state at each time, with derived
-    entropy/purity scalars attached."""
+) -> list:
+    """(state, derived_scalars) pairs of the closed-form state at each time
+    of `times`, in order; [] for no times."""
     from .entropy import derived_scalars
 
     times = list(times)
     _check_times(times)
     if not times:
-        return Trajectory(entries=())
+        return []
     t_arr = np.asarray(times, dtype=float)
     cov = ScaledCovariances(*evolve_covariances(osc, diff, state0, t_arr).T)
     moments = (*evolve_means(osc, state0, t_arr), *cov.to_covariances(osc))
     window = osc._window
-    entries = []
+    pairs = []
     # Rows hold Python floats: scalar arithmetic on numpy scalars is slower.
     for t, *row in zip(t_arr.tolist(), *(m.tolist() for m in moments)):
         state = GaussianState(*row, t=state0.t + t)
-        entries.append((state, derived_scalars(osc, state, diff=diff, window=window)))
-    return Trajectory(entries=tuple(entries))
+        pairs.append((state, derived_scalars(osc, state, diff=diff, window=window)))
+    return pairs

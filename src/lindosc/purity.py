@@ -125,15 +125,15 @@ def purity_table(
     residual it does not list (the constancy at lam = 0) is NaN.  sigma_det
     and gamma are the ones derived_scalars attaches to each sample.
     """
-    trajectory = sample_trajectory(osc, diff, state0, times)
-    states = trajectory.states()
+    pairs = sample_trajectory(osc, diff, state0, times)
+    states = [state for state, _ in pairs]
     n = len(states)
 
     def column(items, name):
         return np.fromiter(map(attrgetter(name), items), float, n)
 
     s_qq, s_pp, s_pq = (column(states, f"sigma_{ab}") for ab in ("qq", "pp", "pq"))
-    scalars = [sc for _, sc in trajectory]
+    scalars = [sc for _, sc in pairs]
     sigma = column(scalars, "sigma_det")
     residuals = _residuals(osc, diff, s_qq, s_pp, s_pq)
     preserving = np.full(n, osc.lam > 0)

@@ -1185,6 +1185,44 @@ def test_each_malformed_block_names_its_key(tmp_path, capsys, no_propagation, bl
     assert err[0].startswith("error: ") and key in err[0]
 
 
+# Configs whose arithmetic leaves the float64 range, with the commands that
+# reach it: (a) the determinant margin squares lambda*hbar, (b) the ops
+# coefficients square |a|, (c) the Gibbs preset divides by tanh of an
+# underflowed hbar*omega/2kT, (d) the determinant squares sigma_pq, and (e) the
+# steady state divides by an underflowed denominator.
+FLOAT_RANGE_CASES = {
+    "a-friction": (gibbs_config(oscillator={"omega": 1.0, "lambda": 1.4e156},
+                                diffusion={"d_qq": 0.0, "d_pp": 0.0}), COMMANDS_WITH_CONFIG),
+    "b-ops": (gibbs_config(diffusion={"ops": [{"a": [1e160, 0.0], "b": [0.0, 1.0]}]}),
+              COMMANDS_WITH_CONFIG),
+    "c-gibbs": (gibbs_config(oscillator={"omega": 1.0, "lambda": 0.2, "hbar": 1e-100},
+                             diffusion={"preset": "gibbs", "temperature": 1e300}),
+                COMMANDS_WITH_CONFIG),
+    "d-moments": (gibbs_config(initial_state={"sigma_q": 0.0, "sigma_p": 0.0, "sigma_qq": 1e200,
+                                              "sigma_pp": 1e200, "sigma_pq": 1e160}),
+                  COMMANDS_WITH_CONFIG),
+    "e-steady": (gibbs_config(oscillator={"m": 1e-150, "omega": 1e-100, "lambda": 1e-101},
+                              diffusion={"d_qq": 1.0, "d_pp": 1.0}),
+                 ["evolve", "steady", "purity-scan"]),
+}
+
+
+@pytest.mark.parametrize("case,command", [
+    (case, command) for case, (_, commands) in FLOAT_RANGE_CASES.items() for command in commands
+])
+def test_float_range_overflow_exits_one(tmp_path, capsys, case, command):
+    conf, _ = FLOAT_RANGE_CASES[case]
+    code, out, err = _main_error(capsys, [command, "--config", write_config(tmp_path, conf)])
+    errors = [line for line in err if line.startswith("error:")]
+    assert (code, out, len(errors)) == (1, "", 1)
+    assert errors[0].startswith("error: value outside the floating-point range: ")
+    assert not any("Traceback" in line for line in err)
+    # The weak-coupling warning of case (a) is kept; nothing else is printed.
+    assert [line for line in err if line not in errors] == (
+        ["warning: weak-coupling assumption strained: lam=1.4e+156 >= omega=1.0"]
+        if case == "a-friction" else [])
+
+
 def _without(*blocks):
     conf = gibbs_config()
     for block in blocks:
@@ -1337,7 +1375,7 @@ def test_run_row_t_eff_is_the_effective_temperature(rng, source, hbar):
         state0 = random_state(rng, hbar, (0.0, 0.0) if draw % 2 else (0.0, 3.0))
         window = CoherentWindow.matched(osc)
         traj = propagator.sample_trajectory(osc, diff, state0, [0.0, 0.5, 5.0])
-        for state in traj.states():
+        for state, _ in traj:
             scalars = entropy.derived_scalars(osc, state, diff=diff, window=window)
             t_eff = cli._run_row(state.t, state, scalars, osc)[column]
             with warnings.catch_warnings():

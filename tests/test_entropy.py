@@ -262,7 +262,7 @@ def test_sample_trajectory_scalars_monotone_entropy():
     diff = preset_gibbs(osc, temperature=2.0)
     times = np.linspace(0.0, 40.0, 81)
     traj = sample_trajectory(osc, diff, ground_state(osc), times)
-    s_vals = [scalars.s_vn for _, scalars in traj.entries]
+    s_vals = [scalars.s_vn for _, scalars in traj]
     assert s_vals[0] == 0.0
     assert all(b >= a - 1e-12 for a, b in zip(s_vals, s_vals[1:]))
 

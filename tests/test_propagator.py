@@ -20,6 +20,7 @@ from lindosc import (
     steady_covariances,
     steady_state,
 )
+from lindosc.entropy import derived_scalars
 from lindosc.model import AGREE_RTOL, RTOL
 from lindosc.propagator import ScaledCovariances, _decay_rates, _drive_vector, _mode_matrix
 from lindosc.sweeps import random_diffusion, random_oscillator, random_state
@@ -181,6 +182,21 @@ def test_frictionless_with_diffusion_matches_rk4():
         assert cov[2] == pytest.approx(oracle.sigma_pq, abs=1e-7)
 
 
+def test_frictionless_tiny_times_match_rk4():
+    """At lam = 0 the drive weight (1 - exp(-kt))/k serves every t > 0, down
+    to |kt| far below 1e-8."""
+    osc = OscillatorSpec(mass=1.3, omega=0.9, lam=0.0, mu=0.2)
+    diff = DiffusionSpec(0.3, 0.4, 0.05)
+    state0 = GaussianState(0.7, -0.3, 0.6, 0.9, 0.2)
+    worst = 0.0
+    for t in (1e-14, 1e-12, 1e-9, 4e-9 / osc.big_omega, 1e-6):
+        got, ref = evolve(osc, diff, state0, t), ode_oracle(osc, diff, state0, t, step=t / 4)
+        scale = np.maximum(np.maximum(abs(moments(got)), abs(moments(ref))),
+                           max(state0.sigma_qq, state0.sigma_pp))
+        worst = max(worst, (abs(moments(got) - moments(ref)) / scale).max())
+    assert worst < 1e-12
+
+
 def test_oracle_closed_system_invariance():
     osc = OscillatorSpec(mass=1, omega=1, lam=0.0, mu=0.0)
     diff = DiffusionSpec(0.0, 0.0, 0.0)
@@ -224,7 +240,7 @@ def test_trajectory_single_time_zero():
     state = ground_state(osc)
     traj = sample_trajectory(osc, diff, state, [0.0])
     assert len(traj) == 1
-    assert moments(traj.states()[0]) == pytest.approx(moments(state), rel=1e-12)
+    assert moments(traj[0][0]) == pytest.approx(moments(state), rel=1e-12)
 
 
 def test_trajectory_relaxes_to_steady():
@@ -232,7 +248,7 @@ def test_trajectory_relaxes_to_steady():
     diff = preset_gibbs(osc, 1.0)
     times = np.linspace(0, 50 / osc.lam, 200)
     traj = sample_trajectory(osc, diff, ground_state(osc), times)
-    final = traj.states()[-1]
+    final, _ = traj[-1]
     target = steady_covariances(osc, diff).to_covariances(osc)
     assert final.sigma_qq == pytest.approx(target[0], rel=1e-10)
     assert final.sigma_pp == pytest.approx(target[1], rel=1e-10)
@@ -242,7 +258,20 @@ def test_trajectory_relaxes_to_steady():
 def test_trajectory_empty():
     osc = OscillatorSpec(mass=1, omega=1, lam=0.2)
     traj = sample_trajectory(osc, preset_gibbs(osc, 1.0), ground_state(osc), [])
-    assert len(traj) == 0
+    assert traj == []
+
+
+@pytest.mark.parametrize("lam", [0.2, 0.0])
+def test_trajectory_is_a_list_of_state_scalars_pairs(lam):
+    osc = OscillatorSpec(mass=1.3, omega=0.9, lam=lam, mu=0.1)
+    diff = DiffusionSpec(0.3, 0.4, 0.05)
+    start = CCSpec(eta=0.8, r=0.3, alpha=1 + 0.5j).state()
+    times = np.linspace(0.0, 3.0, 7)
+    pairs = sample_trajectory(osc, diff, start, times)
+    assert type(pairs) is list
+    assert [state.t for state, _ in pairs] == times.tolist()
+    for state, scalars in pairs:
+        assert scalars == derived_scalars(osc, state, diff=diff)
 
 
 def test_trajectory_rejects_bad_times():
@@ -290,7 +319,8 @@ def test_returned_states_hold_python_floats(lam):
     start = CCSpec(eta=0.8, r=0.3, alpha=1 + 0.5j).state()
     states = [ground_state(osc), start, evolve(osc, diff, start, 2.0),
               evolve(osc, diff, start, np.float64(0.5)),
-              *sample_trajectory(osc, diff, start, np.linspace(0.0, 3.0, 4)).states()]
+              *(state for state, _ in
+                sample_trajectory(osc, diff, start, np.linspace(0.0, 3.0, 4)))]
     if lam > 0:
         states.append(steady_state(osc, diff))
     for state in states:

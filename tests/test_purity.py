@@ -124,7 +124,7 @@ def test_purity_scan_pure_manifold_stays_pure():
     assert table["is_pure"].all()
     assert table["gamma"] == pytest.approx(1.0, abs=1e-12)
     assert table["preserving"].all()
-    for state in sample_trajectory(osc, diff, start, times).states():
+    for state, _ in sample_trajectory(osc, diff, start, times):
         assert identify_ccs(state, osc.hbar) is not None
 
 
@@ -203,7 +203,7 @@ def test_purity_table_equals_reports_row_by_row(rng, kind):
         times = np.linspace(0, 40, 41)
         table = purity_table(osc, diff, start, times)
         reports = [check_pure_preserving(osc, diff, state)
-                   for state in sample_trajectory(osc, diff, start, times).states()]
+                   for state, _ in sample_trajectory(osc, diff, start, times)]
         assert list(table) == ["t", "sigma_det", "gamma", "r", "is_pure", "preserving",
                                *RESIDUALS]
         for field in ("t", "sigma_det", "gamma", "r", "is_pure", "preserving"):
