@@ -24,7 +24,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussianState:
     """First and second moments of a Gaussian state at one time instant."""
 
@@ -40,9 +40,11 @@ class GaussianState:
             raise InvalidStateError(f"sigma_qq must be > 0, got {self.sigma_qq}")
         if not self.sigma_pp > 0:
             raise InvalidStateError(f"sigma_pp must be > 0, got {self.sigma_pp}")
-        if not self.uncertainty_det > 0:
+        det = self.uncertainty_det
+        if not 0 < det < math.inf:
             raise InvalidStateError(
-                f"covariance matrix must be positive definite, det={self.uncertainty_det}"
+                "covariance matrix must be positive definite with a finite "
+                f"determinant, det={det}"
             )
 
     @property

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -126,24 +125,22 @@ def purity_table(
     and gamma are the ones derived_scalars attaches to each sample.
     """
     pairs = sample_trajectory(osc, diff, state0, times)
-    states = [state for state, _ in pairs]
-    n = len(states)
-
-    def column(items, name):
-        return np.fromiter(map(attrgetter(name), items), float, n)
-
-    s_qq, s_pp, s_pq = (column(states, f"sigma_{ab}") for ab in ("qq", "pp", "pq"))
-    scalars = [sc for _, sc in pairs]
-    sigma = column(scalars, "sigma_det")
+    n = len(pairs)
+    t, s_qq, s_pp, s_pq, sigma, gamma = table = np.empty((6, n))
+    # Row i is filled from pair i, which is then dropped.
+    for i, (state, scalars) in enumerate(pairs):
+        pairs[i] = None
+        table[:, i] = (state.t, state.sigma_qq, state.sigma_pp, state.sigma_pq,
+                       scalars.sigma_det, scalars.gamma)
     residuals = _residuals(osc, diff, s_qq, s_pp, s_pq)
     preserving = np.full(n, osc.lam > 0)
     for _, res, scales in residuals:
         preserving &= negligible(res, *scales)
     conditions = {name: res for name, res, _ in residuals}
     return {
-        "t": column(states, "t"),
+        "t": t,
         "sigma_det": sigma,
-        "gamma": column(scalars, "gamma"),
+        "gamma": gamma,
         "r": s_pq / np.sqrt(s_qq * s_pp),
         "is_pure": saturates(sigma, osc.hbar),
         "preserving": preserving,

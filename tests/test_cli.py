@@ -1030,6 +1030,21 @@ class _CountingSink:
         return len(text)
 
 
+def _traced_peak(call) -> int:
+    """The tracemalloc peak of call(), above what was allocated before it."""
+    outer_trace = tracemalloc.is_tracing()
+    if not outer_trace:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not outer_trace:
+            tracemalloc.stop()
+
+
 def _emit_peak_share(fmt: str, case: str) -> float:
     """The peak allocation inside _emit per character written, as a share of
     its bound: 1/8 of a character for a grid, one for a table."""
@@ -1041,18 +1056,12 @@ def _emit_peak_share(fmt: str, case: str) -> float:
         header, axes = [f"c{i}" for i in range(15)], ()
         columns, share = list(rng.random((15, 10_001))), 1.0
     sink = _CountingSink()
-    outer_trace = tracemalloc.is_tracing()
-    if not outer_trace:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
+
+    def emit():
         with contextlib.redirect_stdout(sink):
             cli._emit((fmt, None), header, columns, ["measure=test"], axes=axes)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not outer_trace:
-            tracemalloc.stop()
+
+    peak = _traced_peak(emit)
     assert sink.written > 2_000_000
     return peak / sink.written / share
 
@@ -1080,6 +1089,20 @@ def test_emit_memory_with_forked_shares(monkeypatch, fmt, case):
     assert forks
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("argv", [["evolve"], ["evolve", "--format", "json"], ["purity-scan"]])
+def test_trajectory_rows_are_held_once(tmp_path, argv):
+    """A trajectory command peaks within 1.1 times what sample_trajectory
+    alone allocates for the same times: each row is held once, as its
+    (state, scalars) pair, until it is moved into the output columns."""
+    times = {"t_start": 0.0, "t_end": 50.0, "n_samples": 8001}
+    config = write_config(tmp_path, gibbs_config(times=times))
+    argv = [*argv, "--config", config, "--out", os.devnull]
+    sc = cli._scenario(cli.build_parser().parse_args(argv), "times")
+    alone = _traced_peak(
+        lambda: propagator.sample_trajectory(sc.osc, sc.diff, sc.state0, sc.times))
+    assert _traced_peak(lambda: cli.main(argv)) <= 1.1 * alone
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1221,6 +1244,18 @@ def test_float_range_overflow_exits_one(tmp_path, capsys, case, command):
     assert [line for line in err if line not in errors] == (
         ["warning: weak-coupling assumption strained: lam=1.4e+156 >= omega=1.0"]
         if case == "a-friction" else [])
+
+
+@pytest.mark.parametrize("command", COMMANDS_WITH_CONFIG)
+def test_state_with_infinite_determinant_exits_one(tmp_path, capsys, no_propagation, command):
+    # sigma_qq * sigma_pp overflows to inf while sigma_pq**2 stays finite.
+    conf = gibbs_config(initial_state={"sigma_q": 0.0, "sigma_p": 0.0, "sigma_qq": 1e200,
+                                       "sigma_pp": 1e200, "sigma_pq": 0.0})
+    code, out, err = _main_error(capsys, [command, "--config", write_config(tmp_path, conf)])
+    # One error line, and no numpy warning or traceback beside it.
+    assert (code, out) == (1, "")
+    assert err == ["error: covariance matrix must be positive definite with a finite "
+                   "determinant, det=inf"]
 
 
 def _without(*blocks):

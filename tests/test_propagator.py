@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from lindosc import (
     CCSpec,
     DiffusionSpec,
     GaussianState,
+    InvalidStateError,
     OscillatorSpec,
     ParameterError,
     evolve,
@@ -38,6 +40,27 @@ def test_state_invariants():
         GaussianState(0, 0, -1.0, 1.0, 0.0)
     with pytest.raises(Exception):
         GaussianState(0, 0, 1.0, 1.0, 1.5)  # indefinite covariance
+
+
+def test_state_with_infinite_determinant_is_rejected():
+    with pytest.raises(InvalidStateError, match=r"finite determinant, det=inf$"):
+        GaussianState(0.0, 0.0, 1e200, 1e200, 0.0)
+    assert GaussianState(0.0, 0.0, 0.5, 0.5, 0.0, t=math.inf).t == math.inf
+
+
+def test_state_has_no_instance_dict_and_keeps_value_semantics():
+    state = GaussianState(0.1, -0.2, 0.7, 0.9, 0.2, t=1.5)
+    twin = GaussianState(0.1, -0.2, 0.7, 0.9, 0.2, t=1.5)
+    assert not hasattr(state, "__dict__")
+    assert state == twin and hash(state) == hash(twin)
+    assert state != GaussianState(0.1, -0.2, 0.7, 0.9, 0.2, t=2.0)
+    assert pickle.loads(pickle.dumps(state)) == state
+    moved = dataclasses.replace(state, sigma_q=0.3)
+    assert (moved.sigma_q, moved.sigma_p, moved.t) == (0.3, -0.2, 1.5)
+    with pytest.raises(InvalidStateError):
+        dataclasses.replace(state, sigma_qq=-1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.sigma_q = 1.0
 
 
 def test_scaled_covariances_roundtrip():
