@@ -19,7 +19,6 @@ from .model import (
 from .phasespace import CCSpec, CoherentWindow, PhaseSpaceGrid
 from .propagator import (
     GaussianState,
-    ScaledCovariances,
     evolve,
     evolve_covariances,
     evolve_means,
@@ -43,7 +42,6 @@ __all__ = [
     "OscillatorSpec",
     "ParameterError",
     "PhaseSpaceGrid",
-    "ScaledCovariances",
     "UnitSystem",
     "coefficients_from_ops",
     "evolve",

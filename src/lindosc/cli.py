@@ -625,6 +625,8 @@ def cmd_kernel(args) -> int:
     sc, state = _grid_state(args)
     axis = phasespace.sample_axis(state.sigma_q, state.sigma_qq, args.n_x, args.width_sigmas)
     value = phasespace.density_kernel_at(state, axis[:, None], axis[None, :], hbar=sc.osc.hbar)
+    if not np.isfinite(value).all():
+        raise ParameterError("kernel values must be finite")
     _emit(sc.output, ["x", "y", "re", "im"], [value.real, value.imag], axes=(axis, axis))
     return 0
 

@@ -204,8 +204,12 @@ class ConstraintReport:
 
 
 def determinant_margin(diff: DiffusionSpec, lam: float, hbar: float) -> float:
-    """d_pp*d_qq - d_pq**2 - (lam*hbar/2)**2; >= 0 for admissible coefficients."""
-    return diff.d_pp * diff.d_qq - diff.d_pq**2 - (lam * hbar) ** 2 / 4
+    """d_pp*d_qq - d_pq**2 - (lam*hbar/2)**2; >= 0 for admissible coefficients.
+    A margin that overflows to +inf raises OverflowError."""
+    margin = diff.d_pp * diff.d_qq - diff.d_pq**2 - (lam * hbar) ** 2 / 4
+    if margin == math.inf:
+        raise OverflowError(f"determinant margin {margin} overflows")
+    return margin
 
 
 def _determinant_check(diff: DiffusionSpec, lam: float, hbar: float) -> ConstraintCheck:

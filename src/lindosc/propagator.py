@@ -36,6 +36,10 @@ class GaussianState:
     t: float = 0.0
 
     def __post_init__(self):
+        if not (abs(self.sigma_q) < math.inf and abs(self.sigma_p) < math.inf):
+            raise InvalidStateError(
+                f"means must be finite, got sigma_q={self.sigma_q}, sigma_p={self.sigma_p}"
+            )
         if not self.sigma_qq > 0:
             raise InvalidStateError(f"sigma_qq must be > 0, got {self.sigma_qq}")
         if not self.sigma_pp > 0:
@@ -75,25 +79,11 @@ def ground_state(osc: OscillatorSpec) -> GaussianState:
     )
 
 
-@dataclass(frozen=True)
-class ScaledCovariances:
-    """Covariances in common action units: (m*w*s_qq, s_pp/(m*w), s_pq)."""
-
-    x1: float
-    x2: float
-    x3: float
-
-    @classmethod
-    def from_state(cls, osc: OscillatorSpec, state: GaussianState) -> "ScaledCovariances":
-        mw = osc.mass * osc.omega
-        return cls(mw * state.sigma_qq, state.sigma_pp / mw, state.sigma_pq)
-
-    def to_covariances(self, osc: OscillatorSpec) -> tuple[float, float, float]:
-        mw = osc.mass * osc.omega
-        return self.x1 / mw, self.x2 * mw, self.x3
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3])
+def _unscaled(osc: OscillatorSpec, x1, x2, x3):
+    """(sigma_qq, sigma_pp, sigma_pq) from the scaled coordinates
+    (m*w*sigma_qq, sigma_pp/(m*w), sigma_pq); floats or arrays."""
+    mw = osc.mass * osc.omega
+    return x1 / mw, x2 * mw, x3
 
 
 def _mode_matrix(osc: OscillatorSpec) -> np.ndarray:
@@ -143,8 +133,8 @@ def evolve_means(osc: OscillatorSpec, state0: GaussianState, t):
     return sq, sp
 
 
-def steady_covariances(osc: OscillatorSpec, diff: DiffusionSpec) -> ScaledCovariances:
-    """Asymptotic covariances; requires lam > 0.
+def steady_covariances(osc: OscillatorSpec, diff: DiffusionSpec) -> np.ndarray:
+    """Asymptotic covariances in scaled coordinates, shape (3,); requires lam > 0.
 
     Computed from the explicit rational expressions and cross-checked
     against the diagonalized matrix form T K^-1 T D.
@@ -179,12 +169,12 @@ def steady_covariances(osc: OscillatorSpec, diff: DiffusionSpec) -> ScaledCovari
         raise ConsistencyError(
             f"steady-state cross-check failed: {explicit} vs {matrix}"
         )
-    return ScaledCovariances(*explicit)
+    return explicit
 
 
 def steady_state(osc: OscillatorSpec, diff: DiffusionSpec) -> GaussianState:
     """Asymptotic Gaussian state (zero means)."""
-    s_qq, s_pp, s_pq = map(float, steady_covariances(osc, diff).to_covariances(osc))
+    s_qq, s_pp, s_pq = _unscaled(osc, *steady_covariances(osc, diff).tolist())
     return GaussianState(0.0, 0.0, s_qq, s_pp, s_pq, t=math.inf)
 
 
@@ -193,8 +183,8 @@ def evolve_covariances(
 ):
     """Covariances at time(s) t via the diagonalized complex solution.
 
-    Returns a ScaledCovariances for scalar t, or an (nt, 3) real array in
-    scaled coordinates for an array of times.  lam = 0 is supported through
+    Returns a real array in scaled coordinates: shape (3,) for a scalar t,
+    (nt, 3) for an array of times.  lam = 0 is supported through
     the bounded oscillatory variation-of-constants form.
     """
     t_arr = np.asarray(t, dtype=float)
@@ -204,7 +194,7 @@ def evolve_covariances(
     x0 = np.array([mw * state0.sigma_qq, state0.sigma_pp / mw, state0.sigma_pq])
     decay = np.exp(-(t_col * rates))  # (nt, 3)
     if osc.lam > 0:
-        xinf = steady_covariances(osc, diff).as_array()
+        xinf = steady_covariances(osc, diff)
         dev = tm @ x0.astype(complex) - tm @ xinf.astype(complex)
         xt = (decay * dev) @ tm.T + xinf
     else:
@@ -214,14 +204,14 @@ def evolve_covariances(
         phi = np.where(rates == 0, t_col, (1 - decay) / np.where(rates == 0, 1, rates))
         xt = (decay * (tm @ x0.astype(complex))) @ tm.T + (phi * drive) @ tm.T
     xt = _real_checked(xt, float(abs(xt).max()))
-    return ScaledCovariances(*xt[0]) if t_arr.ndim == 0 else xt
+    return xt[0] if t_arr.ndim == 0 else xt
 
 
 def evolve(osc: OscillatorSpec, diff: DiffusionSpec, state0: GaussianState, t: float) -> GaussianState:
     """Full five-moment state at one finite time t >= 0."""
     _check_times([t], "t")
     sq, sp = evolve_means(osc, state0, t)
-    s_qq, s_pp, s_pq = map(float, evolve_covariances(osc, diff, state0, t).to_covariances(osc))
+    s_qq, s_pp, s_pq = _unscaled(osc, *evolve_covariances(osc, diff, state0, t).tolist())
     return GaussianState(sq, sp, s_qq, s_pp, s_pq, t=float(state0.t + t))
 
 
@@ -251,8 +241,8 @@ def sample_trajectory(
     if not times:
         return []
     t_arr = np.asarray(times, dtype=float)
-    cov = ScaledCovariances(*evolve_covariances(osc, diff, state0, t_arr).T)
-    moments = (*evolve_means(osc, state0, t_arr), *cov.to_covariances(osc))
+    cov = evolve_covariances(osc, diff, state0, t_arr).T
+    moments = (*evolve_means(osc, state0, t_arr), *_unscaled(osc, *cov))
     window = osc._window
     pairs = []
     # Rows hold Python floats: scalar arithmetic on numpy scalars is slower.

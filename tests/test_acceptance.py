@@ -83,7 +83,7 @@ def test_criterion_01_propagator_oracle_equivalence():
 def test_criterion_02_steady_state_formulas():
     worst = 0.0
     for osc, diff, state0 in _configs(100):
-        explicit = steady_covariances(osc, diff).as_array()
+        explicit = steady_covariances(osc, diff)
         tm = _mode_matrix(osc)
         matrix = tm @ ((tm @ _drive_vector(osc, diff)) / _decay_rates(osc))
         matrix = _real_checked(matrix, float(np.max(np.abs(explicit))))

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -1212,7 +1213,8 @@ def test_each_malformed_block_names_its_key(tmp_path, capsys, no_propagation, bl
 # reach it: (a) the determinant margin squares lambda*hbar, (b) the ops
 # coefficients square |a|, (c) the Gibbs preset divides by tanh of an
 # underflowed hbar*omega/2kT, (d) the determinant squares sigma_pq, and (e) the
-# steady state divides by an underflowed denominator.
+# steady state divides by an underflowed denominator, and (f) the determinant
+# margin's d_pp * d_qq overflows to +inf.
 FLOAT_RANGE_CASES = {
     "a-friction": (gibbs_config(oscillator={"omega": 1.0, "lambda": 1.4e156},
                                 diffusion={"d_qq": 0.0, "d_pp": 0.0}), COMMANDS_WITH_CONFIG),
@@ -1227,6 +1229,7 @@ FLOAT_RANGE_CASES = {
     "e-steady": (gibbs_config(oscillator={"m": 1e-150, "omega": 1e-100, "lambda": 1e-101},
                               diffusion={"d_qq": 1.0, "d_pp": 1.0}),
                  ["evolve", "steady", "purity-scan"]),
+    "f-margin": (gibbs_config(diffusion={"d_qq": 1e200, "d_pp": 1e200}), COMMANDS_WITH_CONFIG),
 }
 
 
@@ -1246,16 +1249,139 @@ def test_float_range_overflow_exits_one(tmp_path, capsys, case, command):
         if case == "a-friction" else [])
 
 
+# Start states that float64 cannot hold, with the one error line each gives:
+# sigma_qq * sigma_pp overflows to inf while sigma_pq**2 stays finite, and the
+# coherent mean 2 * eta * alpha overflows to inf.
+INFINITE_STATES = (
+    ({"sigma_q": 0.0, "sigma_p": 0.0, "sigma_qq": 1e200, "sigma_pp": 1e200, "sigma_pq": 0.0},
+     "error: covariance matrix must be positive definite with a finite determinant, det=inf"),
+    ({"kind": "coherent", "alpha": [1.7e308, 0.5]},
+     "error: means must be finite, got sigma_q=inf, sigma_p=0.7071067811865475"),
+)
+
+
 @pytest.mark.parametrize("command", COMMANDS_WITH_CONFIG)
 def test_state_with_infinite_determinant_exits_one(tmp_path, capsys, no_propagation, command):
-    # sigma_qq * sigma_pp overflows to inf while sigma_pq**2 stays finite.
-    conf = gibbs_config(initial_state={"sigma_q": 0.0, "sigma_p": 0.0, "sigma_qq": 1e200,
-                                       "sigma_pp": 1e200, "sigma_pq": 0.0})
-    code, out, err = _main_error(capsys, [command, "--config", write_config(tmp_path, conf)])
-    # One error line, and no numpy warning or traceback beside it.
+    for state, message in INFINITE_STATES:
+        conf = gibbs_config(initial_state=state)
+        code, out, err = _main_error(capsys, [command, "--config", write_config(tmp_path, conf)])
+        # One error line, and no numpy warning or traceback beside it.
+        assert (code, out, err) == (1, "", [message])
+
+
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+def test_kernel_values_out_of_float_range_exit_one(tmp_path, capsys):
+    # The kernel's squares overflow and its values turn NaN; they are refused
+    # as the grids refuse theirs, before any output.
+    conf = gibbs_config(initial_state={"sigma_q": 0.3, "sigma_p": -0.2,
+                                       "sigma_qq": 1.7976931348623157e308, "sigma_pp": 0.6,
+                                       "sigma_pq": 0.1})
+    code, out, err = _main_error(
+        capsys, ["kernel", "--config", write_config(tmp_path, conf), "--n-x", "3"])
     assert (code, out) == (1, "")
-    assert err == ["error: covariance matrix must be positive definite with a finite "
-                   "determinant, det=inf"]
+    assert [line for line in err if not line.startswith("warning: ")] == [
+        "error: kernel values must be finite"]
+
+
+# Starting points of the config-mutation sweep: the baseline, each other
+# diffusion source and each other initial-state kind, at small sizes.
+SWEEP_BASES = {
+    "baseline": gibbs_config(oscillator={"m": 1.0, "omega": 1.0, "lambda": 0.2, "mu": 0.1,
+                                         "hbar": 1.0, "boltzmann": 1.0},
+                             times={"t_start": 0.0, "t_end": 5.0, "n_samples": 5}),
+    "pure": gibbs_config(diffusion={"preset": "pure"}, times={"list": [0.0, 1.0, 2.5]}),
+    "explicit": gibbs_config(oscillator={"m": 1.0, "omega": 1.0, "lambda": 0.0},
+                             diffusion={"d_qq": 0.3, "d_pp": 0.4, "d_pq": 0.05},
+                             times={"list": [0.0, 1.5]}, window={"s_qq": 0.7}),
+    "ops": gibbs_config(diffusion={"ops": [{"a": [0.0, 0.4], "b": [0.5, 0.0]}]},
+                        times={"t_start": 0.0, "t_end": 3.0, "n_samples": 4}),
+    "coherent": gibbs_config(initial_state={"kind": "coherent", "alpha": [1.0, 0.5]},
+                             times={"t_start": 0.0, "t_end": 2.0, "n_samples": 3}),
+    "ccs": gibbs_config(initial_state={"kind": "ccs", "eta": 0.8, "r": 0.3,
+                                       "alpha": [0.2, -1.0]},
+                        times={"t_start": 0.0, "t_end": 2.0, "n_samples": 3}),
+    "moments": gibbs_config(initial_state={"sigma_q": 0.3, "sigma_p": -0.2, "sigma_qq": 0.8,
+                                           "sigma_pp": 0.6, "sigma_pq": 0.1},
+                            times={"list": [0.0, 0.5, 4.0]}),
+}
+SWEEP_VALUES = (0, 5e-324, -5e-324, 1e154, -1e154, 1e-154, 1e300, -1e300, 1e-300,
+                1.7976931348623157e308, -1.7976931348623157e308,
+                True, False, "x", None, [], {})
+SWEEP_CONFIGS = 40
+SWEEP_ARGS = {"wigner-grid": ["--n-q", "3", "--n-p", "3"],
+              "husimi-grid": ["--n-q", "3", "--n-p", "3"], "kernel": ["--n-x", "3"]}
+NON_FINITE_TOKEN = re.compile(r"\b(?:inf|nan)\b")
+
+
+def _paths(node, prefix=()):
+    """Every key path below `node`, a config document, containers included."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield (*prefix, key)
+        if isinstance(value, (dict, list)) and value:
+            yield from _paths(value, (*prefix, key))
+
+
+def _mutated(rng, base):
+    """`base` with 1 to 3 values, leaves or whole blocks, set to SWEEP_VALUES."""
+    cfg = json.loads(json.dumps(base))
+    for _ in range(rng.integers(1, 4)):
+        paths = list(_paths(cfg))
+        *parents, key = paths[rng.integers(len(paths))]
+        node = cfg
+        for parent in parents:
+            node = node[parent]
+        node[key] = SWEEP_VALUES[rng.integers(len(SWEEP_VALUES))]
+    return cfg
+
+
+def _non_finite_cells(command, cfg, out):
+    """The inf and nan tokens of an exit-0 stdout, apart from steady's t and,
+    at lambda = 0, purity-scan's res_constant_* columns, which hold them by
+    definition."""
+    if command not in ("steady", "purity-scan"):
+        return NON_FINITE_TOKEN.findall(out)
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    lam_zero = cfg["oscillator"]["lambda"] == 0
+
+    def exempt(name):
+        return name == "t" if command == "steady" else (
+            lam_zero and name.startswith("res_constant_"))
+
+    return [cell for row in rows for name, cell in zip(header, row)
+            if not exempt(name) and NON_FINITE_TOKEN.search(cell)]
+
+
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+@pytest.mark.parametrize("base", sorted(SWEEP_BASES))
+def test_config_mutation_sweep_keeps_the_exit_contract(tmp_path, capsys, base):
+    # Seeded extremes in 1 to 3 places of a working config, on every command:
+    # exit 0, 1 or 2 with no escaping exception; warnings beside at most one
+    # error line; no stdout beside an error, apart from validate's report;
+    # and no inf or nan written on exit 0.
+    rng = np.random.default_rng([20261020, sorted(SWEEP_BASES).index(base)])
+    broken = []
+    for i in range(SWEEP_CONFIGS):
+        cfg = _mutated(rng, SWEEP_BASES[base])
+        path = write_config(tmp_path, cfg, f"sweep{i}.json")
+        for command in COMMANDS_WITH_CONFIG:
+            argv = [command, "--config", path, *SWEEP_ARGS.get(command, [])]
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # any escape breaks the contract
+                code = f"{type(exc).__name__}: {exc}"
+            out, err = capsys.readouterr()
+            errors = [line for line in err.splitlines() if not line.startswith("warning: ")]
+            fault = (
+                code not in (0, 1, 2)
+                or len(errors) > 1
+                or not all(line.startswith(("error: ", "numerical-consistency error: "))
+                           for line in errors)
+                or (code != 0 and out and command != "validate")
+                or (code == 0 and (errors or _non_finite_cells(command, cfg, out)))
+            )
+            if fault:
+                broken.append((command, json.dumps(cfg), code, err, out[:300]))
+    assert not broken, broken[:3]
 
 
 def _without(*blocks):

@@ -183,6 +183,13 @@ def test_validate_determinant_failure():
     assert report.margin("determinant") < 0
 
 
+def test_overflowed_determinant_margin_raises():
+    with pytest.raises(OverflowError, match="^determinant margin inf overflows$"):
+        determinant_margin(DiffusionSpec(d_qq=1e200, d_pp=1e200), 0.1, 1.0)
+    # A margin that overflows below zero is a failed constraint, not an error.
+    assert determinant_margin(DiffusionSpec(d_qq=-1e200, d_pp=1e200), 0.1, 1.0) == -math.inf
+
+
 def test_preset_gibbs_limits():
     osc = OscillatorSpec(mass=1, omega=1, lam=0.2, mu=0.0)
     hot = preset_gibbs(osc, temperature=1e6)

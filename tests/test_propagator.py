@@ -24,7 +24,7 @@ from lindosc import (
 )
 from lindosc.entropy import derived_scalars
 from lindosc.model import AGREE_RTOL, RTOL
-from lindosc.propagator import ScaledCovariances, _decay_rates, _drive_vector, _mode_matrix
+from lindosc.propagator import _decay_rates, _drive_vector, _mode_matrix, _unscaled
 from lindosc.sweeps import random_diffusion, random_oscillator, random_state
 from oracles import default_oracle_step, ode_oracle
 
@@ -48,6 +48,14 @@ def test_state_with_infinite_determinant_is_rejected():
     assert GaussianState(0.0, 0.0, 0.5, 0.5, 0.0, t=math.inf).t == math.inf
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_state_with_non_finite_mean_is_rejected(bad):
+    for sigma_q, sigma_p in ((bad, 0.5), (0.5, -bad)):
+        with pytest.raises(InvalidStateError, match=(
+                f"^means must be finite, got sigma_q={sigma_q}, sigma_p={sigma_p}$")):
+            GaussianState(sigma_q, sigma_p, 0.5, 0.5, 0.0)
+
+
 def test_state_has_no_instance_dict_and_keeps_value_semantics():
     state = GaussianState(0.1, -0.2, 0.7, 0.9, 0.2, t=1.5)
     twin = GaussianState(0.1, -0.2, 0.7, 0.9, 0.2, t=1.5)
@@ -64,10 +72,30 @@ def test_state_has_no_instance_dict_and_keeps_value_semantics():
 
 
 def test_scaled_covariances_roundtrip():
+    # evolve_covariances at t = 0 returns the scaled x0, which _unscaled inverts
     osc = OscillatorSpec(mass=1.7, omega=0.8, lam=0.1)
     state = GaussianState(0.1, -0.2, 0.7, 0.9, 0.2)
-    cov = ScaledCovariances.from_state(osc, state)
-    assert cov.to_covariances(osc) == pytest.approx((0.7, 0.9, 0.2), rel=1e-15)
+    mw = osc.mass * osc.omega
+    x0 = (mw * state.sigma_qq, state.sigma_pp / mw, state.sigma_pq)
+    assert _unscaled(osc, *x0) == pytest.approx((0.7, 0.9, 0.2), rel=1e-15)
+
+
+@pytest.mark.parametrize("lam", [0.2, 0.0])
+def test_covariances_are_float_arrays_in_scaled_coordinates(lam):
+    osc = OscillatorSpec(mass=1.7, omega=0.8, lam=lam, mu=0.1)
+    diff = DiffusionSpec(0.3, 0.4, 0.05)
+    state = GaussianState(0.1, -0.2, 0.7, 0.9, 0.2)
+    one = evolve_covariances(osc, diff, state, 1.5)
+    batch = evolve_covariances(osc, diff, state, np.array([0.5, 1.5]))
+    assert (type(one), one.dtype, one.shape) == (np.ndarray, np.float64, (3,))
+    assert (type(batch), batch.dtype, batch.shape) == (np.ndarray, np.float64, (2, 3))
+    assert _unscaled(osc, *one) == pytest.approx(
+        moments(evolve(osc, diff, state, 1.5))[2:].tolist(), rel=1e-15)
+    if lam > 0:
+        steady = steady_covariances(osc, diff)
+        assert (type(steady), steady.dtype, steady.shape) == (np.ndarray, np.float64, (3,))
+        assert _unscaled(osc, *steady) == pytest.approx(
+            moments(steady_state(osc, diff))[2:].tolist(), rel=1e-15)
 
 
 def test_evolve_means_identity_at_zero():
@@ -105,7 +133,7 @@ def test_steady_gibbs_is_thermal():
     osc = OscillatorSpec(mass=1.2, omega=0.9, lam=0.25, mu=0.08)
     temp = 1.7
     diff = preset_gibbs(osc, temp)
-    s_qq, s_pp, s_pq = steady_covariances(osc, diff).to_covariances(osc)
+    s_qq, s_pp, s_pq = _unscaled(osc, *steady_covariances(osc, diff))
     coth = 1 / math.tanh(osc.hbar * osc.omega / (2 * temp))
     assert s_qq == pytest.approx(osc.hbar / (2 * osc.mass * osc.omega) * coth, rel=1e-12)
     assert s_pp == pytest.approx(osc.hbar * osc.mass * osc.omega / 2 * coth, rel=1e-12)
@@ -114,7 +142,7 @@ def test_steady_gibbs_is_thermal():
 
 def test_steady_pure_preset():
     osc = OscillatorSpec(mass=1, omega=1, lam=0.15, mu=0.3)
-    s_qq, s_pp, s_pq = steady_covariances(osc, preset_pure_state(osc)).to_covariances(osc)
+    s_qq, s_pp, s_pq = _unscaled(osc, *steady_covariances(osc, preset_pure_state(osc)))
     big = osc.big_omega
     assert s_qq == pytest.approx(0.5 / big, rel=1e-12)
     assert s_pp == pytest.approx(0.5 / big, rel=1e-12)  # omega = 1
@@ -124,7 +152,7 @@ def test_steady_pure_preset():
 def test_steady_matches_long_time_rk4():
     osc = OscillatorSpec(mass=1, omega=1, lam=0.3, mu=0.1)
     diff = DiffusionSpec(d_qq=0.2, d_pp=0.4, d_pq=0.05)
-    target = steady_covariances(osc, diff).to_covariances(osc)
+    target = _unscaled(osc, *steady_covariances(osc, diff))
     late = ode_oracle(osc, diff, ground_state(osc), 200 / osc.lam, step=1e-3)
     assert late.sigma_qq == pytest.approx(target[0], rel=1e-8)
     assert late.sigma_pp == pytest.approx(target[1], rel=1e-8)
@@ -145,7 +173,7 @@ def test_steady_routes_agree_within_agree_rtol_near_critical():
     diff = DiffusionSpec(d_qq=0.91, d_pp=0.82, d_pq=0.14)
     tm = _mode_matrix(osc)
     matrix = (tm @ ((tm @ _drive_vector(osc, diff)) / _decay_rates(osc))).real
-    explicit = steady_covariances(osc, diff).as_array()
+    explicit = steady_covariances(osc, diff)
     gap = np.max(np.abs(matrix - explicit)) / np.max(np.abs(explicit))
     assert RTOL < gap < AGREE_RTOL
     assert steady_state(osc, diff).sigma_qq > 0
@@ -156,7 +184,7 @@ def test_covariances_identity_at_zero():
     diff = DiffusionSpec(0.15, 0.2, 0.02)
     state = GaussianState(0, 0, 0.8, 0.9, 0.1)
     cov = evolve_covariances(osc, diff, state, 0.0)
-    assert cov.to_covariances(osc) == pytest.approx((0.8, 0.9, 0.1), rel=1e-12)
+    assert _unscaled(osc, *cov) == pytest.approx((0.8, 0.9, 0.1), rel=1e-12)
 
 
 def test_covariances_fixed_point():
@@ -165,7 +193,7 @@ def test_covariances_fixed_point():
     start = steady_state(osc, diff)
     fixed = GaussianState(0, 0, start.sigma_qq, start.sigma_pp, start.sigma_pq)
     for t in (0.3, 1.0, 7.0, 42.0):
-        cov = evolve_covariances(osc, diff, fixed, t).to_covariances(osc)
+        cov = _unscaled(osc, *evolve_covariances(osc, diff, fixed, t))
         assert cov == pytest.approx(
             (start.sigma_qq, start.sigma_pp, start.sigma_pq), rel=1e-10
         )
@@ -176,7 +204,7 @@ def test_covariances_match_rk4_from_ground_state():
     diff = DiffusionSpec(d_qq=0.12, d_pp=0.3, d_pq=-0.03)
     state = ground_state(osc)
     for t in (0.5, 1.0, 5.0):
-        cov = evolve_covariances(osc, diff, state, t).to_covariances(osc)
+        cov = _unscaled(osc, *evolve_covariances(osc, diff, state, t))
         oracle = ode_oracle(osc, diff, state, t, step=1e-4)
         assert cov[0] == pytest.approx(oracle.sigma_qq, rel=1e-8)
         assert cov[1] == pytest.approx(oracle.sigma_pp, rel=1e-8)
@@ -198,7 +226,7 @@ def test_frictionless_with_diffusion_matches_rk4():
     diff = DiffusionSpec(0.05, 0.08, 0.0)
     state = ground_state(osc)
     for t in (0.5, 3.0):
-        cov = evolve_covariances(osc, diff, state, t).to_covariances(osc)
+        cov = _unscaled(osc, *evolve_covariances(osc, diff, state, t))
         oracle = ode_oracle(osc, diff, state, t, step=1e-4)
         assert cov[0] == pytest.approx(oracle.sigma_qq, rel=1e-7)
         assert cov[1] == pytest.approx(oracle.sigma_pp, rel=1e-7)
@@ -272,7 +300,7 @@ def test_trajectory_relaxes_to_steady():
     times = np.linspace(0, 50 / osc.lam, 200)
     traj = sample_trajectory(osc, diff, ground_state(osc), times)
     final, _ = traj[-1]
-    target = steady_covariances(osc, diff).to_covariances(osc)
+    target = _unscaled(osc, *steady_covariances(osc, diff))
     assert final.sigma_qq == pytest.approx(target[0], rel=1e-10)
     assert final.sigma_pp == pytest.approx(target[1], rel=1e-10)
     assert final.sigma_pq == pytest.approx(target[2], abs=1e-10)
@@ -362,8 +390,8 @@ def test_scalar_evolve_is_row_zero_of_a_one_time_batch():
         for t in rng.uniform(0.0, 30.0, 23).tolist():
             state = evolve(osc, diff, state0, t)
             batch = np.array([t])
-            cov = ScaledCovariances(*evolve_covariances(osc, diff, state0, batch).T)
-            row = [*evolve_means(osc, state0, batch), *cov.to_covariances(osc)]
+            cov = evolve_covariances(osc, diff, state0, batch).T
+            row = [*evolve_means(osc, state0, batch), *_unscaled(osc, *cov)]
             assert moments(state).tolist() == [float(c[0]) for c in row], (i, t)
 
 
@@ -394,7 +422,7 @@ def test_exponential_envelope(rng):
         osc = random_oscillator(rng, lam_range=(0.05, 0.3))
         diff = random_diffusion(rng, osc)
         state0 = random_state(rng)
-        xinf = steady_covariances(osc, diff).as_array()
+        xinf = steady_covariances(osc, diff)
         fit_times = np.linspace(0.0, 8 / osc.lam, 2000)
         dev_fit = np.linalg.norm(
             evolve_covariances(osc, diff, state0, fit_times) - xinf, axis=1
