@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import itertools
 import json
 import math
-import os
 import sys
-import time
 import warnings
 from typing import NamedTuple
 
@@ -240,164 +237,6 @@ def _json_cells(column: np.ndarray) -> list[str]:
 _BLOCK_ROWS = 1024
 
 
-def _idle_cpu_time() -> tuple[float, float] | None:
-    """(now, seconds the CPUs this process may run on have been idle) from
-    /proc/stat, idle and iowait together; None where there is no such count,
-    no affinity set or no os.fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return None
-    cpus = {b"cpu%d" % c for c in os.sched_getaffinity(0)}
-    try:
-        # The per-CPU lines come first: 64 kB holds those of ~600 CPUs.
-        with open("/proc/stat", "rb", buffering=0) as fh:
-            lines = fh.read(1 << 16).split(b"\n")[:-1]  # whole lines only
-    except OSError:
-        return None
-    ticks = 0
-    try:
-        for fields in map(bytes.split, lines):
-            if fields and fields[0] in cpus:
-                ticks += int(fields[4]) + int(fields[5])
-    except (ValueError, IndexError):
-        return None
-    return time.monotonic(), ticks / os.sysconf("SC_CLK_TCK")
-
-
-def _spare_cpus(before: tuple[float, float] | None) -> int:
-    """CPUs of this process's set that sat idle since `before`, a reading of
-    _idle_cpu_time, to the nearest whole CPU; 0 without two readings.  At
-    most every CPU of the set but the one this process ran on: whole ticks
-    can read more idle time than passed."""
-    after = _idle_cpu_time() if before else None
-    if not after or after[0] <= before[0]:
-        return 0
-    idle = round((after[1] - before[1]) / (after[0] - before[0]))
-    return min(idle, len(os.sched_getaffinity(0)) - 1)
-
-
-# Cells the parent formats first while it counts the CPUs that sit idle:
-# about 35 ms, so that the 10 ms ticks of /proc/stat tell an idle CPU from
-# a busy one.
-_PROBE_CELLS = 2**16
-# Fewest cells a forked child formats.  A child costs about 60 ms of CPU
-# time in a 70 MB process on x86-64: its fork, the pages that it and the
-# parent copy on write, two processes formatting more slowly than one, and
-# the copy of its text; a cell takes about 0.6 us.  With shares of 2**12 to
-# 2**14 cells phase_grid ran slower than in one process, 2**16 to 2**18
-# gave about the same gain.
-_SHARE_CELLS = 2**17
-# Most shares of _SHARE_CELLS cells in one child's share: this bounds the
-# text a child spills, about 20-40 MB, and the forks stay few.
-_MOST_SHARES = 8
-
-
-def _spill_share(block, share: range):
-    """Fork a child that writes block(k) for each k of `share` to a fresh
-    unlinked file; return (pid, file), or None where either cannot be made.
-
-    The child leaves by os._exit, 0 once every block is on the file, so it
-    never flushes a stdout or --out buffer it inherited and runs no atexit
-    handler; any exception in it becomes a non-zero exit."""
-    import tempfile  # here, not at module level: ~5 ms, and only forks need it
-
-    try:
-        spill = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-    except OSError:
-        return None
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on a fork in a process with more than one
-            # thread; the other thread here is OpenBLAS's idle pool.  The
-            # child only formats text with Python and numpy's element-wise
-            # calls, never BLAS, so it takes no lock that thread may hold.
-            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
-                                    DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        spill.close()
-        return None
-    if pid == 0:
-        # No collection in the child: a buffered file found unreachable here
-        # would flush into a descriptor the parent shares.
-        gc.disable()
-        code = 1
-        try:
-            spill.writelines(map(block, share))
-            spill.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    return pid, spill
-
-
-def _write_round(write, block, shares: list[range]) -> None:
-    """write(block(k)) for every k of `shares`, in order: the parent forks one
-    child per share after the first (_spill_share), then formats and writes
-    share 0.  It waits for each child in order and copies its spill file
-    out in chunks of about one block.  A share whose child could not be
-    started or exited non-zero, the parent formats itself with the same
-    `block`.  On any exception, KeyboardInterrupt included, every child
-    still running is killed and reaped and every spill file closed."""
-    children, running = [], set()
-    try:
-        for share in shares[1:]:
-            child = _spill_share(block, share)
-            children.append(child)
-            if child:
-                running.add(child[0])
-        for k in shares[0]:
-            text = block(k)
-            write(text)
-        for share, child in zip(shares[1:], children):
-            status = None  # no child: the share is formatted here
-            if child:
-                pid, spill = child
-                status = os.waitpid(pid, 0)[1]
-                running.discard(pid)
-            if status == 0:
-                spill.seek(0)
-                # No share is empty: `text` is a block of share 0.
-                while chunk := spill.read(len(text)):
-                    write(chunk)
-            else:
-                for k in share:
-                    write(block(k))
-    finally:
-        for pid in running:
-            os.kill(pid, 9)  # SIGKILL, without the ~1 ms import of signal
-            os.waitpid(pid, 0)
-        for child in children:
-            if child:
-                child[1].close()
-
-
-def _write_blocks(write, block, n: int, block_cells: int) -> None:
-    """write(block(k)) for k in range(n), in order, where a full block holds
-    `block_cells` cells, on this CPU and on each CPU of the process's set
-    that sits idle meanwhile.
-
-    The parent formats the first _PROBE_CELLS cells' worth of blocks itself
-    and counts the CPUs that stayed idle in that time (_spare_cpus): a
-    forked child gains only on a CPU nothing else wants, and costs CPU time
-    everywhere.  With `least` the fewest blocks that hold _SHARE_CELLS
-    cells, the other blocks are split into contiguous shares of `least` to
-    _MOST_SHARES * `least` blocks, as many as a multiple of the worker count
-    (one per spare CPU, and this one), and written in rounds of one share
-    per worker (_write_round).  So the text written is the same at any
-    worker count, and what a child spills is bounded by the share size, not
-    a fraction of the output."""
-    least = -(-_SHARE_CELLS // block_cells)  # blocks in the smallest share
-    rest = range(min(-(-_PROBE_CELLS // block_cells), n), n)
-    before = _idle_cpu_time() if len(rest) >= 2 * least else None
-    for k in range(rest.start):
-        write(block(k))
-    workers = max(1, min(_spare_cpus(before) + 1, len(rest) // least))
-    shares = workers * -(-len(rest) // (_MOST_SHARES * least * workers))
-    for first in range(0, shares, workers):
-        _write_round(write, block, [rest[len(rest) * i // shares:len(rest) * (i + 1) // shares]
-                                    for i in range(first, first + workers)])
-
-
 def _emit(output: tuple[str, str | None], header: list[str], columns: list,
           comments: list[str] | None = None, axes: tuple = ()) -> None:
     """Write one row per point, one field per header entry, in the format
@@ -416,14 +255,7 @@ def _emit(output: tuple[str, str | None], header: list[str], columns: list,
     formatted one block at a time, one outer-axis row of a grid or at most
     _BLOCK_ROWS rows of a table, so memory does not grow with the output.
     The template of a full block is built once, each axis value formatted
-    once.  The parent formats the first _PROBE_CELLS cells' worth of blocks
-    and counts the CPUs of its set that sat idle meanwhile; where one did and
-    the rest holds two shares of _SHARE_CELLS cells, the rest is split into
-    contiguous shares, formatted in rounds of one share per worker: the
-    parent formats the first share of a round while forked children write
-    the others to unlinked spill files, which the parent copies out in order
-    (_write_blocks).  A share whose child cannot be forked or fails, the
-    parent formats itself, so the bytes are the same at any worker count.
+    once.
     """
     fmt, path = output
     columns = [np.ravel(c) for c in columns]
@@ -479,19 +311,17 @@ def _emit(output: tuple[str, str | None], header: list[str], columns: list,
         return (sep if k else "") + form.replace("\0", outer[k]) % tuple(
             itertools.chain.from_iterable(zip(*values)))
 
-    def write_all(write):
-        write(head)
-        _write_blocks(write, block, n_blocks, size * len(header))
-        write(tail)
-
-    if path:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                write_all(fh.write)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output: {exc}") from exc
-    else:
-        write_all(sys.stdout.write)
+    try:
+        with (open(path, "w", encoding="utf-8", newline="") if path
+              else contextlib.nullcontext(sys.stdout)) as out:
+            out.write(head)
+            for k in range(n_blocks):
+                out.write(block(k))
+            out.write(tail)
+    except OSError as exc:
+        if not path:  # an error of stdout itself, a closed pipe say, passes through
+            raise
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def _run_row(t, state: GaussianState, scalars: entropy.DerivedScalars, osc) -> list:

@@ -185,9 +185,17 @@ def ccs_wavefunction_at(ccs: CCSpec, x):
 
 
 def sample_axis(center: float, variance: float, n: int, width_sigmas: float) -> np.ndarray:
-    """n evenly spaced points on center +- width_sigmas * sqrt(variance)."""
+    """n evenly spaced points on center +- width_sigmas * sqrt(variance).
+
+    Raises ParameterError where the points do not increase strictly, as when
+    the spread is below the float resolution at the centre.
+    """
     half = width_sigmas * math.sqrt(variance)
-    return np.linspace(center - half, center + half, n)
+    axis = np.linspace(center - half, center + half, n)
+    if not (np.diff(axis) > 0).all():
+        raise ParameterError(
+            f"axis points must increase strictly, but {n} points on {center!r} +- {half!r} do not")
+    return axis
 
 
 def wigner_grid(

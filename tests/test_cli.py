@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -66,17 +65,10 @@ def gibbs_config(**over):
     return cfg
 
 
-def _evolve_config(tmp_path, blocks: int = 3):
-    """A scenario whose evolve output is a table of `blocks` output blocks."""
+def _evolve_config(tmp_path):
+    """A scenario whose evolve output is a table of three output blocks."""
     return write_config(tmp_path, gibbs_config(times={
-        "t_start": 0.0, "t_end": 50.0, "n_samples": (blocks - 1) * cli._BLOCK_ROWS + 1}))
-
-
-# Blocks of an evolve table that a host with an idle CPU formats in two
-# processes, the fewest: the blocks formatted while the idle CPUs are
-# counted, then two shares of cli._SHARE_CELLS cells.
-_CELLS = cli._BLOCK_ROWS * len(cli.RUN_COLUMNS)
-FORKING_BLOCKS = -(-cli._PROBE_CELLS // _CELLS) + 2 * -(-cli._SHARE_CELLS // _CELLS)
+        "t_start": 0.0, "t_end": 50.0, "n_samples": 2 * cli._BLOCK_ROWS + 1}))
 
 
 def pure_config():
@@ -237,11 +229,9 @@ def test_evolve_json_format(tmp_path):
 
 
 def test_evolve_output_file(tmp_path, capsys):
-    # Enough rows for a host with an idle CPU to format them in two
-    # processes: the file holds the stdout bytes, and the dev-mode child
-    # reports no file or spill file left open.
-    blocks = FORKING_BLOCKS
-    cfg = _evolve_config(tmp_path, blocks)
+    # A table of three blocks: the file holds the stdout bytes, and the
+    # dev-mode child reports no file left open.
+    cfg = _evolve_config(tmp_path)
     target = tmp_path / "run.out"
     for fmt in ("csv", "json"):
         proc = run_cli("evolve", "--config", cfg, "--format", fmt, "--out", str(target))
@@ -249,7 +239,7 @@ def test_evolve_output_file(tmp_path, capsys):
         assert cli.main(["evolve", "--config", cfg, "--format", fmt]) == 0
         assert target.read_bytes() == capsys.readouterr().out.encode("utf-8")
         if fmt == "csv":
-            assert len(parse_csv(target.read_text())[1]) == (blocks - 1) * cli._BLOCK_ROWS + 1
+            assert len(parse_csv(target.read_text())[1]) == 2 * cli._BLOCK_ROWS + 1
 
 
 def test_steady_command(tmp_path):
@@ -835,112 +825,6 @@ def test_emit_json_matches_json_dumps(capsys, case):
     assert capsys.readouterr().out == _json_reference(header, columns, comments, axes)
 
 
-@pytest.fixture
-def spills(monkeypatch):
-    """The spill files _emit opens for its children, as it opens them.  One
-    block is counted as enough for a share, so that small outputs fork too."""
-    monkeypatch.setattr(cli, "_PROBE_CELLS", 1)
-    monkeypatch.setattr(cli, "_SHARE_CELLS", 1)
-    opened = []
-    make = tempfile.TemporaryFile
-
-    def record(*args, **kwargs):
-        opened.append(make(*args, **kwargs))
-        return opened[-1]
-
-    monkeypatch.setattr(tempfile, "TemporaryFile", record)
-    return opened
-
-
-def _assert_cleaned_up(spills):
-    """Every spill file closed, and no child process left, reaped or not."""
-    assert all(f.closed for f in spills)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _set_cpus(monkeypatch, cpus: int) -> None:
-    """Make _emit format on `cpus` CPUs, as if all but one sat idle."""
-    monkeypatch.setattr(cli, "_spare_cpus", lambda before: cpus - 1)
-
-
-def _emit_with(monkeypatch, capsys, cpus, *args, **kwargs) -> str:
-    """What _emit writes to stdout when it may format on `cpus` CPUs."""
-    _set_cpus(monkeypatch, cpus)
-    cli._emit(*args, **kwargs)
-    return capsys.readouterr().out
-
-
-def _grid_emit(fmt: str, shape: tuple) -> tuple:
-    """The arguments and keyword arguments of _emit for a test grid."""
-    columns, axes = _grid_case(*shape)
-    return ((fmt, None), ["q", "p", "value", "flag"], columns, ["measure=test"]), {"axes": axes}
-
-
-# 64 is more than any case below has blocks: every block is then a share.
-@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
-def test_emit_bytes_equal_at_every_worker_count(tmp_path, monkeypatch, capsys, spills, cpus):
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    for case, (header, columns, comments, axes) in JSON_CASES.items():
-        out = _emit_with(monkeypatch, capsys, cpus, ("json", None), header, columns, comments,
-                         axes=axes)
-        assert out == _json_reference(header, columns, comments, axes), case
-        _assert_cleaned_up(spills)
-    for fmt in ("csv", "json"):
-        for shape in GRID_SHAPES:
-            args, kwargs = _grid_emit(fmt, shape)
-            assert (_emit_with(monkeypatch, capsys, cpus, *args, **kwargs)
-                    == _emit_with(monkeypatch, capsys, 1, *args, **kwargs)), (fmt, shape)
-            _assert_cleaned_up(spills)
-    # A table of three blocks through main, to --out and to stdout.
-    cfg = _evolve_config(tmp_path)
-    target = tmp_path / "run.out"
-    for fmt in ("csv", "json"):
-        argv = ["evolve", "--config", cfg, "--format", fmt]
-        _set_cpus(monkeypatch, 1)
-        assert cli.main(argv) == 0
-        serial = capsys.readouterr().out
-        _set_cpus(monkeypatch, cpus)
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().out == serial
-        assert cli.main([*argv, "--out", str(target)]) == 0
-        assert capsys.readouterr().out == ""
-        assert target.read_bytes() == serial.encode("utf-8")
-        _assert_cleaned_up(spills)
-    assert bool(forks) == (cpus > 1) and len(spills) == len(forks)
-
-
-def _fork_raises():
-    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-
-def _child_exits_3(fork=os.fork):
-    pid = fork()
-    if pid == 0:
-        os._exit(3)
-    return pid
-
-
-@pytest.mark.parametrize("fork", [_fork_raises, _child_exits_3],
-                         ids=["fork-raises", "child-exits-3"])
-def test_emit_formats_a_failed_share_itself(monkeypatch, capsys, spills, fork):
-    # Each share whose child cannot start or fails is formatted in the parent.
-    monkeypatch.setattr(os, "fork", fork)
-    for fmt in ("csv", "json"):
-        for shape in ((25, 41), (3, 683)):
-            args, kwargs = _grid_emit(fmt, shape)
-            assert (_emit_with(monkeypatch, capsys, 3, *args, **kwargs)
-                    == _emit_with(monkeypatch, capsys, 1, *args, **kwargs)), (fmt, shape)
-            _assert_cleaned_up(spills)
-        header, columns, _, _ = JSON_CASES["3-blocks-non-ascii"]
-        assert (_emit_with(monkeypatch, capsys, 3, (fmt, None), header, columns)
-                == _emit_with(monkeypatch, capsys, 1, (fmt, None), header, columns))
-        _assert_cleaned_up(spills)
-    assert spills
-
-
 class _FailingSink:
     """Stand-in for stdout that takes the first `ok` writes and raises on the
     next."""
@@ -957,67 +841,25 @@ class _FailingSink:
 
 @pytest.mark.parametrize("error", [OSError(errno.EPIPE, "Broken pipe"), KeyboardInterrupt()],
                          ids=["broken-pipe", "interrupt"])
-def test_emit_write_error_propagates_and_leaves_nothing(monkeypatch, spills, error):
-    _set_cpus(monkeypatch, 3)
+def test_emit_write_error_propagates_and_leaves_nothing(error):
     columns, axes = _grid_case(25, 41)
-    # The head and the first block go through; the forks follow.
-    with contextlib.redirect_stdout(_FailingSink(error, 2)), pytest.raises(type(error)):
+    # The head and the first block go through.  The error of the next write
+    # reaches the caller unchanged, and nothing more is written after it.
+    sink = _FailingSink(error, 2)
+    with contextlib.redirect_stdout(sink), pytest.raises(type(error)):
         cli._emit(("csv", None), ["q", "p", "value", "flag"], columns, axes=axes)
-    assert len(spills) == 2
-    _assert_cleaned_up(spills)
+    assert sink.ok == -1
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_full_output_device_exits_one(tmp_path, monkeypatch, capsys, spills):
-    # /dev/full takes the open and fails the first flush, after the forks:
-    # the head and the first block of this grid fit the file's buffer.
-    _set_cpus(monkeypatch, 3)
+def test_full_output_device_exits_one(tmp_path, capsys):
+    # /dev/full takes the open and fails the first flush, which comes once
+    # the head and the first blocks of this grid have filled the file's buffer.
     cfg = write_config(tmp_path, gibbs_config())
     argv = ["wigner-grid", "--config", cfg, "--n-q", "200", "--n-p", "10", "--out", "/dev/full"]
     assert cli.main(argv) == 1
     assert capsys.readouterr() == (
         "", f"error: cannot write output: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n")
-    assert spills
-    _assert_cleaned_up(spills)
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
-def test_write_blocks_forks_only_for_shares_of_enough_cells(monkeypatch, cpus):
-    # The parent formats the fewest blocks with _PROBE_CELLS cells first.  A
-    # child's share holds at least the fewest blocks with _SHARE_CELLS cells
-    # and at most _MOST_SHARES times as many; one share per CPU where the
-    # rest has enough of them, else fewer CPUs; the blocks come out in order.
-    monkeypatch.setattr(cli, "_PROBE_CELLS", 50)
-    monkeypatch.setattr(cli, "_SHARE_CELLS", 100)
-    _set_cpus(monkeypatch, cpus)
-    children = []
-    # A child that cannot start: its share is then formatted in the parent.
-    monkeypatch.setattr(cli, "_spill_share", lambda block, share: children.append(share))
-    for block_cells in (1, 7, 30, 100, 250):
-        least, probe = -(-100 // block_cells), -(-50 // block_cells)
-        for n in range(0, 200, 3):
-            children.clear()
-            out = []
-            cli._write_blocks(out.append, str, n, block_cells)
-            assert out == list(map(str, range(n)))
-            assert all(least <= len(share) <= cli._MOST_SHARES * least for share in children)
-            rest = max(0, n - probe)
-            assert all(share[0] >= probe for share in children)
-            workers = max(1, min(cpus, rest // least))
-            rounds = -(-rest // (cli._MOST_SHARES * least * workers))
-            assert len(children) == (workers - 1) * rounds, (block_cells, n)
-
-
-def test_spare_cpus_from_two_readings(monkeypatch):
-    # The idle CPU seconds between two readings over the seconds between.
-    before = cli._idle_cpu_time()
-    if before is not None:
-        assert 0 <= cli._spare_cpus(before) <= len(os.sched_getaffinity(0))
-    # On three CPUs: at most the two this process did not run on.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(cli, "_idle_cpu_time", lambda: (10.5, 103.0))
-    readings = [(10.0, 102.4), (9.0, 100.0), (10.0, 99.0), (10.0, 103.0), (10.5, 100.0), None]
-    assert [cli._spare_cpus(b) for b in readings] == [1, 2, 2, 0, 0, 0]
 
 
 class _CountingSink:
@@ -1069,27 +911,8 @@ def _emit_peak_share(fmt: str, case: str) -> float:
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("case", ["grid-512x512", "table-10001x15"])
-def test_emit_memory_stays_below_the_output_size(monkeypatch, fmt, case):
-    # On one CPU the parent formats every block, so the bound covers them all.
-    _set_cpus(monkeypatch, 1)
+def test_emit_memory_stays_below_the_output_size(fmt, case):
     assert _emit_peak_share(fmt, case) < 1
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("case", ["grid-512x512", "table-10001x15"])
-def test_emit_memory_with_forked_shares(monkeypatch, fmt, case):
-    # On two CPUs the parent formats half the shares and copies the others
-    # out of the children's spill files, in chunks of about one block.  The
-    # shares are small enough for the table to fork too.
-    monkeypatch.setattr(cli, "_SHARE_CELLS", 2**14)
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    _set_cpus(monkeypatch, 2)
-    assert _emit_peak_share(fmt, case) < 1
-    assert forks
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("argv", [["evolve"], ["evolve", "--format", "json"], ["purity-scan"]])
@@ -1281,6 +1104,24 @@ def test_kernel_values_out_of_float_range_exit_one(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert [line for line in err if not line.startswith("warning: ")] == [
         "error: kernel values must be finite"]
+
+
+# A start state whose mean dwarfs its spread: every point of its q axis is
+# the same float, so neither a grid nor the kernel can be sampled on it.
+COLLAPSED_STATE = {"sigma_q": 1e300, "sigma_p": 0.0, "sigma_qq": 1.0, "sigma_pp": 1.0,
+                   "sigma_pq": 0.0}
+
+
+@pytest.mark.parametrize("argv,spread", [
+    (["kernel", "--n-x", "3"], 4.0),
+    (["wigner-grid", "--n-q", "3", "--n-p", "3"], 8.0),
+    (["husimi-grid", "--n-q", "3", "--n-p", "3"], 8.0 * math.sqrt(1.5)),
+], ids=["kernel", "wigner-grid", "husimi-grid"])
+def test_collapsed_axis_exits_one(tmp_path, capsys, argv, spread):
+    conf = gibbs_config(initial_state=COLLAPSED_STATE)
+    code, out, err = _main_error(capsys, [*argv, "--config", write_config(tmp_path, conf)])
+    assert (code, out, err) == (1, "", [
+        f"error: axis points must increase strictly, but 3 points on 1e+300 +- {spread!r} do not"])
 
 
 # Starting points of the config-mutation sweep: the baseline, each other

@@ -22,6 +22,7 @@ from lindosc.phasespace import (
     density_kernel_at,
     husimi_at,
     husimi_grid,
+    sample_axis,
     smoothed_covariance_det,
     wigner_at,
     wigner_grid,
@@ -46,6 +47,14 @@ def test_grid_validation():
         PhaseSpaceGrid(axis, axis, vals, measure="bogus")
     with pytest.raises(ParameterError, match="values must be finite"):
         PhaseSpaceGrid(axis, axis, np.full((4, 4), np.nan))
+
+
+def test_sample_axis_rejects_points_that_do_not_increase():
+    np.testing.assert_array_equal(sample_axis(1.0, 4.0, 5, 1.0), [-1.0, 0.0, 1.0, 2.0, 3.0])
+    # A spread of 1 is below the float spacing at either centre: 2 at 1e16.
+    for center, n in ((1e300, 3), (1e16, 5)):
+        with pytest.raises(ParameterError, match="must increase strictly"):
+            sample_axis(center, 1.0, n, 1.0)
 
 
 def test_window_product_constraint():
