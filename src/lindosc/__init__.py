@@ -10,7 +10,6 @@ from .model import (
     LindbladOps,
     OscillatorSpec,
     ParameterError,
-    UnitSystem,
     coefficients_from_ops,
     preset_gibbs,
     preset_pure_state,
@@ -42,7 +41,6 @@ __all__ = [
     "OscillatorSpec",
     "ParameterError",
     "PhaseSpaceGrid",
-    "UnitSystem",
     "coefficients_from_ops",
     "evolve",
     "evolve_covariances",

@@ -28,7 +28,6 @@ from .model import (
     LindbladOps,
     OscillatorSpec,
     ParameterError,
-    UnitSystem,
 )
 from .phasespace import CCSpec, CoherentWindow
 from .propagator import GaussianState
@@ -111,16 +110,14 @@ def _get(cfg: dict, path: str, default=_REQUIRED, kind: type = float):
 
 def build_oscillator(cfg: dict, hbar_override: float | None = None) -> OscillatorSpec:
     hbar = _get(cfg, "oscillator.hbar", 1.0)
-    units = UnitSystem(
-        hbar=hbar_override if hbar_override is not None else hbar,
-        boltzmann=_get(cfg, "oscillator.boltzmann", 1.0),
-    )
+    boltzmann = _get(cfg, "oscillator.boltzmann", 1.0)
     return OscillatorSpec(
         mass=_get(cfg, "oscillator.m", 1.0),
         omega=_get(cfg, "oscillator.omega"),
         lam=_get(cfg, "oscillator.lambda"),
         mu=_get(cfg, "oscillator.mu", 0.0),
-        units=units,
+        hbar=hbar_override if hbar_override is not None else hbar,
+        boltzmann=boltzmann,
     )
 
 
@@ -149,7 +146,7 @@ def build_diffusion(cfg: dict, osc: OscillatorSpec) -> DiffusionSpec:
             tuple(_get(indexed, f"diffusion.ops[{i}].{key}", kind=complex) for key in "ab")
             for i in range(len(entries))
         ))
-        diff, lam = model.coefficients_from_ops(ops, osc.units)
+        diff, lam = model.coefficients_from_ops(ops, osc.hbar)
         if not model.negligible(lam - osc.lam, lam, osc.lam, rtol=model.AGREE_RTOL):
             raise ConfigError(
                 f"friction from lindblad ops ({lam}) disagrees with "

@@ -10,7 +10,7 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import KW_ONLY, dataclass, fields
 
 import numpy as np
 
@@ -59,27 +59,22 @@ def saturates(value, hbar: float):
 UNIT_RANGE = (1e-100, 1e100)
 
 
-@dataclass(frozen=True)
-class UnitSystem:
-    """Unit constants: reduced Planck constant and Boltzmann constant."""
-
-    hbar: float = 1.0
-    boltzmann: float = 1.0
-
-    def __post_init__(self):
-        low, high = UNIT_RANGE
-        for name in ("hbar", "boltzmann"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ParameterError(f"{name} must be finite and > 0, got {value}")
-            if not low <= value <= high:
-                raise ParameterError(f"{name} must be within [{low:g}, {high:g}], got {value}")
+def _check_unit(name: str, value: float) -> None:
+    """Raise ParameterError unless the unit constant `name` is finite, > 0
+    and within UNIT_RANGE."""
+    low, high = UNIT_RANGE
+    if not 0 < value < math.inf:
+        raise ParameterError(f"{name} must be finite and > 0, got {value}")
+    if not low <= value <= high:
+        raise ParameterError(f"{name} must be within [{low:g}, {high:g}], got {value}")
 
 
 @dataclass(frozen=True)
 class OscillatorSpec:
     """Damped oscillator parameters: mass, frequency, friction and the
-    mixing rate ``mu`` entering the Hamiltonian's symmetrized q-p term.
+    mixing rate ``mu`` entering the Hamiltonian's symmetrized q-p term, in
+    units where the reduced Planck constant is ``hbar`` and the Boltzmann
+    constant ``boltzmann``.
 
     Only the underdamped regime ``omega > |mu|`` is supported.  The shifted
     frequency ``big_omega = sqrt(omega**2 - mu**2)`` and the ``_modes`` and
@@ -90,9 +85,13 @@ class OscillatorSpec:
     omega: float
     lam: float
     mu: float = 0.0
-    units: UnitSystem = field(default_factory=UnitSystem)
+    _: KW_ONLY
+    hbar: float = 1.0
+    boltzmann: float = 1.0
 
     def __post_init__(self):
+        _check_unit("hbar", self.hbar)
+        _check_unit("boltzmann", self.boltzmann)
         if not self.mass > 0:
             raise ParameterError(f"mass must be > 0, got {self.mass}")
         if not self.omega > 0:
@@ -137,14 +136,6 @@ class OscillatorSpec:
         """The matched phasespace.CoherentWindow."""
         from .phasespace import CoherentWindow
         return CoherentWindow.matched(self)
-
-    @property
-    def hbar(self) -> float:
-        return self.units.hbar
-
-    @property
-    def boltzmann(self) -> float:
-        return self.units.boltzmann
 
 
 @dataclass(frozen=True)
@@ -193,12 +184,6 @@ class ConstraintReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def margin(self, name: str) -> float:
-        for c in self.checks:
-            if c.name == name:
-                return c.margin
-        raise KeyError(name)
-
     def failed(self) -> list[ConstraintCheck]:
         return [c for c in self.checks if not c.passed]
 
@@ -229,15 +214,12 @@ def validate(diff: DiffusionSpec, osc: OscillatorSpec) -> ConstraintReport:
     return ConstraintReport(checks)
 
 
-def coefficients_from_ops(
-    ops: LindbladOps, units: UnitSystem | None = None
-) -> tuple[DiffusionSpec, float]:
+def coefficients_from_ops(ops: LindbladOps, hbar: float = 1.0) -> tuple[DiffusionSpec, float]:
     """Diffusion coefficients and friction rate induced by the environment
     operators.  The determinant constraint holds automatically
     (Cauchy-Schwarz) and is asserted numerically.
     """
-    units = units or UnitSystem()
-    hbar = units.hbar
+    _check_unit("hbar", hbar)
     d_qq = hbar / 2 * sum(abs(a) ** 2 for a, _ in ops.ops)
     d_pp = hbar / 2 * sum(abs(b) ** 2 for _, b in ops.ops)
     cross = sum(a.conjugate() * b for a, b in ops.ops)

@@ -187,11 +187,15 @@ def ccs_wavefunction_at(ccs: CCSpec, x):
 def sample_axis(center: float, variance: float, n: int, width_sigmas: float) -> np.ndarray:
     """n evenly spaced points on center +- width_sigmas * sqrt(variance).
 
-    Raises ParameterError where the points do not increase strictly, as when
-    the spread is below the float resolution at the centre.
+    Raises ParameterError where an end lies beyond the float range, or where
+    the points do not increase strictly, as when the spread is below the float
+    resolution at the centre.
     """
     half = width_sigmas * math.sqrt(variance)
-    axis = np.linspace(center - half, center + half, n)
+    low, high = center - half, center + half
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ParameterError(f"axis ends must be finite, but {center!r} +- {half!r} is not")
+    axis = np.linspace(low, high, n)
     if not (np.diff(axis) > 0).all():
         raise ParameterError(
             f"axis points must increase strictly, but {n} points on {center!r} +- {half!r} do not")

@@ -243,10 +243,9 @@ def sample_trajectory(
     t_arr = np.asarray(times, dtype=float)
     cov = evolve_covariances(osc, diff, state0, t_arr).T
     moments = (*evolve_means(osc, state0, t_arr), *_unscaled(osc, *cov))
-    window = osc._window
     pairs = []
     # Rows hold Python floats: scalar arithmetic on numpy scalars is slower.
     for t, *row in zip(t_arr.tolist(), *(m.tolist() for m in moments)):
         state = GaussianState(*row, t=state0.t + t)
-        pairs.append((state, derived_scalars(osc, state, diff=diff, window=window)))
+        pairs.append((state, derived_scalars(osc, state, diff=diff)))
     return pairs

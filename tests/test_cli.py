@@ -20,7 +20,6 @@ from lindosc import (
     ConsistencyError,
     InvalidStateError,
     OscillatorSpec,
-    UnitSystem,
     cli,
     entropy,
     model,
@@ -1124,6 +1123,34 @@ def test_collapsed_axis_exits_one(tmp_path, capsys, argv, spread):
         f"error: axis points must increase strictly, but 3 points on 1e+300 +- {spread!r} do not"])
 
 
+# Axes whose ends lie beyond the float range: an infinite spread, and a
+# finite spread that carries a centre near the float maximum past it.
+INFINITE_SPANS = {
+    "infinite-spread": ({"sigma_q": 0.0, "sigma_p": 0.0, "sigma_qq": 1e100, "sigma_pp": 1.0,
+                         "sigma_pq": 0.0}, "1e300"),
+    "end-overflows": ({"sigma_q": 1.7e308, "sigma_p": 0.0, "sigma_qq": 1.0, "sigma_pp": 1.0,
+                       "sigma_pq": 0.0}, "1e308"),
+}
+
+
+# The default filter lets a RuntimeWarning reach the CLI, which would print
+# it as a warning line, rather than raise it inside the test.
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+@pytest.mark.parametrize("span", INFINITE_SPANS)
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--n-x", "3"],
+    ["wigner-grid", "--n-q", "3", "--n-p", "3"],
+    ["husimi-grid", "--n-q", "3", "--n-p", "3"],
+], ids=["kernel", "wigner-grid", "husimi-grid"])
+def test_infinite_axis_span_exits_one(tmp_path, capsys, argv, span):
+    state, width = INFINITE_SPANS[span]
+    conf = gibbs_config(initial_state=state)
+    code, out, err = _main_error(
+        capsys, [*argv, "--width-sigmas", width, "--config", write_config(tmp_path, conf)])
+    assert (code, out, len(err)) == (1, "", 1)
+    assert err[0].startswith("error: axis ends must be finite, but ")
+
+
 # Starting points of the config-mutation sweep: the baseline, each other
 # diffusion source and each other initial-state kind, at small sizes.
 SWEEP_BASES = {
@@ -1371,7 +1398,7 @@ def test_run_row_t_eff_is_the_effective_temperature(rng, source, hbar):
     zero_nu = 0
     for draw in range(20):
         drawn = random_oscillator(rng, lam_range=(0.3, 0.9), mu_frac=0.25)
-        osc = OscillatorSpec(drawn.mass, drawn.omega, drawn.lam, drawn.mu, UnitSystem(hbar=hbar))
+        osc = OscillatorSpec(drawn.mass, drawn.omega, drawn.lam, drawn.mu, hbar=hbar)
         block = _diffusion_block(rng, source, osc)
         diff = cli.build_diffusion({"diffusion": block}, osc)
         state0 = random_state(rng, hbar, (0.0, 0.0) if draw % 2 else (0.0, 3.0))

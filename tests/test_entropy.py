@@ -10,7 +10,6 @@ from lindosc import (
     GaussianState,
     InvalidStateError,
     OscillatorSpec,
-    UnitSystem,
     ground_state,
     preset_gibbs,
     preset_pure_state,
@@ -273,7 +272,7 @@ def test_derived_scalars_equal_single_quantity_functions(rng, hbar, mixedness):
     zero_nu = 0
     for _ in range(60):
         drawn = random_oscillator(rng)
-        osc = OscillatorSpec(drawn.mass, drawn.omega, drawn.lam, drawn.mu, UnitSystem(hbar=hbar))
+        osc = OscillatorSpec(drawn.mass, drawn.omega, drawn.lam, drawn.mu, hbar=hbar)
         diff = random_diffusion(rng, osc)
         state = random_state(rng, hbar, mixedness)
         window = CoherentWindow.matched(osc)
@@ -298,7 +297,7 @@ def test_derived_scalars_equal_single_quantity_functions(rng, hbar, mixedness):
 @pytest.mark.parametrize("state", [thermal_state(0.0), thermal_state(0.0, hbar=2.0)])
 def test_derived_scalars_of_pure_state_is_silent(state):
     hbar = 2 * state.sigma_qq
-    osc = OscillatorSpec(mass=1, omega=1, lam=0.2, units=UnitSystem(hbar=hbar))
+    osc = OscillatorSpec(mass=1, omega=1, lam=0.2, hbar=hbar)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fused = derived_scalars(osc, state, thermal_temperature=1.0)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from lindosc import (
     LindbladOps,
     OscillatorSpec,
     ParameterError,
-    UnitSystem,
     coefficients_from_ops,
     preset_gibbs,
     preset_pure_state,
@@ -21,31 +21,48 @@ from lindosc.sweeps import random_ops, random_oscillator
 
 
 def test_unit_system_defaults_and_positivity():
-    units = UnitSystem()
-    assert units.hbar == 1.0 and units.boltzmann == 1.0
+    osc = OscillatorSpec(1.0, 1.0, 0.1)
+    assert osc.hbar == 1.0 and osc.boltzmann == 1.0
     with pytest.raises(ParameterError):
-        UnitSystem(hbar=0.0)
+        OscillatorSpec(1.0, 1.0, 0.1, hbar=0.0)
     with pytest.raises(ParameterError):
-        UnitSystem(boltzmann=-1.0)
+        OscillatorSpec(1.0, 1.0, 0.1, boltzmann=-1.0)
+
+
+def test_units_are_keyword_only():
+    with pytest.raises(TypeError):
+        OscillatorSpec(1.0, 1.0, 0.1, 0.0, 2.0)
+
+
+NON_FINITE = [math.inf, -math.inf, math.nan]
+OUT_OF_RANGE = [1e155, 1.0000000000000002e100, 9.9e-101, 1e-200, 5e-324]
 
 
 @pytest.mark.parametrize("field", ["hbar", "boltzmann"])
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", NON_FINITE)
 def test_unit_system_rejects_non_finite(field, value):
     with pytest.raises(ParameterError, match=f"{field} must be finite"):
-        UnitSystem(**{field: value})
+        OscillatorSpec(1.0, 1.0, 0.1, **{field: value})
 
 
 @pytest.mark.parametrize("field", ["hbar", "boltzmann"])
-@pytest.mark.parametrize("value", [1e155, 1.0000000000000002e100, 9.9e-101, 1e-200, 5e-324])
+@pytest.mark.parametrize("value", OUT_OF_RANGE)
 def test_unit_system_rejects_magnitudes_outside_range(field, value):
     with pytest.raises(ParameterError, match=rf"{field} must be within \[1e-100, 1e\+100\]"):
-        UnitSystem(**{field: value})
+        OscillatorSpec(1.0, 1.0, 0.1, **{field: value})
 
 
 def test_unit_system_accepts_range_ends():
-    assert UnitSystem(hbar=1e-100, boltzmann=1e100).hbar == 1e-100
-    assert UnitSystem(hbar=1e100, boltzmann=1e-100).boltzmann == 1e-100
+    assert OscillatorSpec(1.0, 1.0, 0.1, hbar=1e-100, boltzmann=1e100).hbar == 1e-100
+    assert OscillatorSpec(1.0, 1.0, 0.1, hbar=1e100, boltzmann=1e-100).boltzmann == 1e-100
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, *NON_FINITE, *OUT_OF_RANGE])
+def test_coefficients_from_ops_rejects_hbar_as_the_oscillator_does(hbar):
+    with pytest.raises(ParameterError) as refused:
+        OscillatorSpec(1.0, 1.0, 0.1, hbar=hbar)
+    with pytest.raises(ParameterError, match=f"^{re.escape(str(refused.value))}$"):
+        coefficients_from_ops(LindbladOps(ops=((0.3j, 0.4),)), hbar=hbar)
 
 
 def test_negligible_zero_residual_without_scale():
@@ -149,7 +166,7 @@ def test_coefficients_brownian_single_op():
 def test_coefficients_pure_state_op_roundtrip():
     osc = OscillatorSpec(mass=1.3, omega=1.1, lam=0.2, mu=0.3)
     ops = pure_state_op(osc)
-    diff, lam = coefficients_from_ops(ops, osc.units)
+    diff, lam = coefficients_from_ops(ops, osc.hbar)
     preset = preset_pure_state(osc)
     assert lam == pytest.approx(osc.lam, rel=1e-12)
     assert diff.d_qq == pytest.approx(preset.d_qq, rel=1e-12)
@@ -180,7 +197,8 @@ def test_validate_determinant_failure():
     d = osc.hbar * osc.lam / 2 * 0.9
     report = validate(DiffusionSpec(d_qq=d, d_pp=d, d_pq=0.0), osc)
     assert not report.all_passed
-    assert report.margin("determinant") < 0
+    [determinant] = [c for c in report.checks if c.name == "determinant"]
+    assert determinant.margin < 0
 
 
 def test_overflowed_determinant_margin_raises():

@@ -57,6 +57,13 @@ def test_sample_axis_rejects_points_that_do_not_increase():
             sample_axis(center, 1.0, n, 1.0)
 
 
+def test_sample_axis_rejects_ends_beyond_the_float_range():
+    for center, variance, width in ((0.0, 1e100, 1e300), (1.7e308, 1.0, 1e308),
+                                    (-1.7e308, 1.0, 1e308)):
+        with pytest.raises(ParameterError, match="axis ends must be finite"):
+            sample_axis(center, variance, 3, width)
+
+
 def test_window_product_constraint():
     CoherentWindow(s_qq=0.5, s_pp=0.5)
     with pytest.raises(ParameterError):
