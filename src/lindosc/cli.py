@@ -230,8 +230,10 @@ def _json_cells(column: np.ndarray) -> list[str]:
     return ["null" if v != v else repr(v) for v in column.tolist()]
 
 
-# Most rows of a column table that _emit formats and writes at a time.
+# Most rows of a column table that _emit writes at a time as JSON, and most
+# fields that it writes at a time as CSV.
 _BLOCK_ROWS = 1024
+_BLOCK_FIELDS = 4096
 
 
 def _emit(output: tuple[str, str | None], header: list[str], columns: list,
@@ -244,15 +246,16 @@ def _emit(output: tuple[str, str | None], header: list[str], columns: list,
     Columns are numpy arrays or lists of numbers, bools or strings with one
     value per row; a 2-D array is read in row-major order, so point (i, j)
     of a grid is index i * len(axes[1]) + j.  A float column holding +-inf
-    raises ConsistencyError.  CSV prints numbers with 17 significant digits
-    and bools as true/false.  JSON prints NaN as null and lays the rows out
-    as json.dumps(indent=1) would.
+    raises ConsistencyError.  CSV prints numbers as '%.17g' does and bools
+    as true/false.  JSON prints NaN as null and lays the rows out as
+    json.dumps(indent=1) would.
 
     Every check runs before the first byte is written.  The rows are then
-    formatted one block at a time, one outer-axis row of a grid or at most
-    _BLOCK_ROWS rows of a table, so memory does not grow with the output.
-    The template of a full block is built once, each axis value formatted
-    once.
+    formatted one block at a time, so memory does not grow with the output;
+    each axis value is formatted once.  A CSV block is at most _BLOCK_FIELDS
+    fields, its text made in numpy by _csvtext.  A JSON block is one
+    outer-axis row of a grid or at most _BLOCK_ROWS rows of a table, filled
+    into a template built once.
     """
     fmt, path = output
     columns = [np.ravel(c) for c in columns]
@@ -261,20 +264,25 @@ def _emit(output: tuple[str, str | None], header: list[str], columns: list,
             raise ConsistencyError(f"output column {name} holds an infinite value")
     n_rows = len(columns[0])
     if fmt == "csv":
-        specs = ["%.17g" if c.dtype.kind in "fiu" else "%s" for c in columns]
-        columns = [np.where(c, "true", "false") if c.dtype == bool else c for c in columns]
-        cells = np.ndarray.tolist
-        axis_cells = [["%.17g" % v for v in axis.tolist()] for axis in axes]
-        sep = tail = ""
-        head = "".join(f"# {line}\n" for line in comments or []) + ",".join(header) + "\n"
+        # Imported here: its tables cost about 1 MB and 3 ms, which JSON
+        # output and the library API need not pay.
+        from . import _csvtext
 
-        def row(fields):
-            return ",".join(fields) + "\n"
+        head = "".join(f"# {line}\n" for line in comments or []) + ",".join(header) + "\n"
+        tail = ""
+        size = max(1, _BLOCK_FIELDS // (len(axes) + len(columns)))
+        axis_cells = [_csvtext.packed(cells) for cells in _csvtext.cells(list(axes))]
+
+        def block(k):
+            fields = _csvtext.cells([c[k * size:(k + 1) * size] for c in columns])
+            if axes:
+                outer, inner = axis_cells
+                point = np.arange(k * size, min((k + 1) * size, n_rows))
+                fields[:0] = [np.take(outer, point // len(inner), axis=0),
+                              np.take(inner, point % len(inner), axis=0)]
+            return _csvtext.lines(fields)
     else:
-        specs = ["%s"] * len(columns)
-        cells = _json_cells
         axis_cells = [_json_cells(axis) for axis in axes]
-        sep = ",\n"
         payload = {"rows": []}
         if comments:
             payload["metadata"] = comments
@@ -287,32 +295,31 @@ def _emit(output: tuple[str, str | None], header: list[str], columns: list,
         def row(fields):
             return "  {\n" + ",\n".join(map(str.__add__, keys, fields)) + "\n  }"
 
-    size = len(axes[1]) if axes else _BLOCK_ROWS
-    n_blocks = -(-n_rows // size)
-    if axes:
-        outer, inner = axis_cells
-        # "\0" marks the outer axis cell, which no formatted number holds.
-        # Each grid row fills it in a fresh copy of the template, not as a %
-        # argument: where the caller keeps every block, as perfbench's
-        # phase_grid does, the process then peaks 17 MB lower.
-        lines = [row(["\0", cell, *specs]) for cell in inner]
-    else:
-        outer, lines = [""] * n_blocks, [row(specs)] * size
-    full = sep.join(lines)
+        size = len(axes[1]) if axes else _BLOCK_ROWS
+        if axes:
+            outer, inner = axis_cells
+            # "\0" marks the outer axis cell, which no formatted number holds.
+            # Each grid row fills it in a fresh copy of the template, not as a %
+            # argument: where the caller keeps every block, as perfbench's
+            # phase_grid does, the process then peaks 17 MB lower.
+            lines = [row(["\0", cell, *["%s"] * len(columns)]) for cell in inner]
+        else:
+            outer, lines = [""] * -(-n_rows // size), [row(["%s"] * len(columns))] * size
+        full = ",\n".join(lines)
 
-    def block(k):
-        """The text of block k, with the separator from the block before."""
-        start = k * size
-        values = [cells(c[start:start + size]) for c in columns]
-        form = full if len(values[0]) == size else sep.join(lines[:len(values[0])])
-        return (sep if k else "") + form.replace("\0", outer[k]) % tuple(
-            itertools.chain.from_iterable(zip(*values)))
+        def block(k):
+            """The text of block k, with the separator from the block before."""
+            start = k * size
+            values = [_json_cells(c[start:start + size]) for c in columns]
+            form = full if len(values[0]) == size else ",\n".join(lines[:len(values[0])])
+            return (",\n" if k else "") + form.replace("\0", outer[k]) % tuple(
+                itertools.chain.from_iterable(zip(*values)))
 
     try:
         with (open(path, "w", encoding="utf-8", newline="") if path
               else contextlib.nullcontext(sys.stdout)) as out:
             out.write(head)
-            for k in range(n_blocks):
+            for k in range(-(-n_rows // size)):
                 out.write(block(k))
             out.write(tail)
     except OSError as exc:

@@ -59,6 +59,12 @@ def saturates(value, hbar: float):
 UNIT_RANGE = (1e-100, 1e100)
 
 
+def range_error(kind: type[ArithmeticError], quantity: str, **inputs) -> ArithmeticError:
+    """An ArithmeticError of `kind` naming the quantity that left the float
+    range and the inputs it was computed from."""
+    return kind(f"{quantity} with " + ", ".join(f"{k}={v!r}" for k, v in inputs.items()))
+
+
 def _check_unit(name: str, value: float) -> None:
     """Raise ParameterError unless the unit constant `name` is finite, > 0
     and within UNIT_RANGE."""
@@ -190,10 +196,16 @@ class ConstraintReport:
 
 def determinant_margin(diff: DiffusionSpec, lam: float, hbar: float) -> float:
     """d_pp*d_qq - d_pq**2 - (lam*hbar/2)**2; >= 0 for admissible coefficients.
-    A margin that overflows to +inf raises OverflowError."""
-    margin = diff.d_pp * diff.d_qq - diff.d_pq**2 - (lam * hbar) ** 2 / 4
+    A margin that overflows to +inf, or a square that overflows, raises
+    OverflowError."""
+    try:
+        margin = diff.d_pp * diff.d_qq - diff.d_pq**2 - (lam * hbar) ** 2 / 4
+    except OverflowError:
+        margin = math.inf
     if margin == math.inf:
-        raise OverflowError(f"determinant margin {margin} overflows")
+        raise range_error(OverflowError,
+                          "determinant margin d_pp*d_qq - d_pq**2 - (lam*hbar/2)**2",
+                          d_pp=diff.d_pp, d_qq=diff.d_qq, d_pq=diff.d_pq, lam=lam, hbar=hbar)
     return margin
 
 
@@ -220,8 +232,13 @@ def coefficients_from_ops(ops: LindbladOps, hbar: float = 1.0) -> tuple[Diffusio
     (Cauchy-Schwarz) and is asserted numerically.
     """
     _check_unit("hbar", hbar)
-    d_qq = hbar / 2 * sum(abs(a) ** 2 for a, _ in ops.ops)
-    d_pp = hbar / 2 * sum(abs(b) ** 2 for _, b in ops.ops)
+    try:
+        d_qq = hbar / 2 * sum(abs(a) ** 2 for a, _ in ops.ops)
+        d_pp = hbar / 2 * sum(abs(b) ** 2 for _, b in ops.ops)
+    except OverflowError:
+        largest = max((c for op in ops.ops for c in op), key=abs)
+        raise range_error(OverflowError, "|c|**2 of the largest ops coefficient c",
+                          c=largest) from None
     cross = sum(a.conjugate() * b for a, b in ops.ops)
     d_pq = -hbar / 2 * cross.real
     lam = -cross.imag
@@ -245,7 +262,12 @@ def preset_gibbs(osc: OscillatorSpec, temperature: float) -> DiffusionSpec:
             f"thermal preset requires lam > |mu| (lam={osc.lam}, mu={osc.mu})"
         )
     hbar, k = osc.hbar, osc.boltzmann
-    c = 1.0 / math.tanh(hbar * osc.omega / (2 * k * temperature))
+    try:
+        c = 1.0 / math.tanh(hbar * osc.omega / (2 * k * temperature))
+    except ZeroDivisionError:
+        raise range_error(ZeroDivisionError, "1/tanh(hbar*omega/(2*boltzmann*temperature))",
+                          hbar=hbar, omega=osc.omega, boltzmann=k,
+                          temperature=temperature) from None
     return DiffusionSpec(
         d_qq=(osc.lam - osc.mu) / 2 * hbar / (osc.mass * osc.omega) * c,
         d_pp=(osc.lam + osc.mu) / 2 * hbar * osc.mass * osc.omega * c,

@@ -20,6 +20,7 @@ from .model import (
     OscillatorSpec,
     ParameterError,
     negligible,
+    range_error,
     saturates,
 )
 
@@ -54,7 +55,10 @@ class GaussianState:
     @property
     def uncertainty_det(self) -> float:
         """Determinant of the covariance matrix."""
-        return self.sigma_qq * self.sigma_pp - self.sigma_pq**2
+        try:
+            return self.sigma_qq * self.sigma_pp - self.sigma_pq**2
+        except OverflowError:
+            raise range_error(OverflowError, "sigma_pq**2", sigma_pq=self.sigma_pq) from None
 
 
 def require_physical(state: GaussianState, hbar: float) -> float:
@@ -143,11 +147,16 @@ def steady_covariances(osc: OscillatorSpec, diff: DiffusionSpec) -> np.ndarray:
         raise ParameterError("no steady state for lam = 0")
     lam, mu, om, m = osc.lam, osc.mu, osc.omega, osc.mass
     d = 2 * lam * (lam**2 + om**2 - mu**2)
-    s_qq = (
-        m**2 * (2 * lam * (lam + mu) + om**2) * diff.d_qq
-        + diff.d_pp
-        + 2 * m * (lam + mu) * diff.d_pq
-    ) / (m**2 * d)
+    try:
+        s_qq = (
+            m**2 * (2 * lam * (lam + mu) + om**2) * diff.d_qq
+            + diff.d_pp
+            + 2 * m * (lam + mu) * diff.d_pq
+        ) / (m**2 * d)
+    except ZeroDivisionError:
+        raise range_error(ZeroDivisionError,
+                          "steady-state denominator m**2 * 2*lam*(lam**2 + omega**2 - mu**2)",
+                          m=m, omega=om, lam=lam, mu=mu) from None
     s_pp = (
         (m * om) ** 2 * om**2 * diff.d_qq
         + (2 * lam * (lam - mu) + om**2) * diff.d_pp

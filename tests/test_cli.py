@@ -824,6 +824,50 @@ def test_emit_json_matches_json_dumps(capsys, case):
     assert capsys.readouterr().out == _json_reference(header, columns, comments, axes)
 
 
+def _csv_reference(header, columns, comments, axes):
+    """What _emit writes as CSV, value by value: '%.17g' % v for numbers,
+    true or false for bools and str(v) for anything else."""
+    def text(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return "%.17g" % v if isinstance(v, (int, float)) else str(v)
+
+    points = [g.ravel().tolist() for g in np.meshgrid(*axes, indexing="ij")]
+    values = points + [np.ravel(c).tolist() for c in columns]
+    lines = [f"# {line}" for line in comments or []] + [",".join(header)]
+    return "".join(f"{line}\n" for line in lines + [",".join(map(text, row))
+                                                   for row in zip(*values)])
+
+
+def _mixed_case(rows: int) -> tuple:
+    """Float, bool, string, int and NaN-holding columns of `rows` rows."""
+    k = np.arange(rows)
+    names = [f'a"b%s\u00e9{i}\u2603' for i in k.tolist()]
+    value = np.where(k % 5 == 4, math.nan, -k / 3.0)
+    return ["t", "flag", "name", "count", "value"], [k / 7, k % 3 == 0, names, k - rows // 2,
+                                                      value], None, ()
+
+
+# The JSON cases, the test grids, and tables that end on and just past a CSV
+# block of B fields, B = cli._BLOCK_FIELDS.
+CSV_CASES = {
+    **JSON_CASES,
+    **{f"grid-{n_q}x{n_p}": (["q", "p", "value", "flag"], columns, ["measure=test"], axes)
+       for n_q, n_p in GRID_SHAPES for columns, axes in [_grid_case(n_q, n_p)]},
+    **{f"{rows}-rows-csv": _table_case(rows)
+       for rows in (cli._BLOCK_FIELDS // 3, cli._BLOCK_FIELDS // 3 + 1)},
+    **{f"{rows}-rows-mixed": _mixed_case(rows)
+       for rows in (1, cli._BLOCK_FIELDS // 5, 2 * (cli._BLOCK_FIELDS // 5) + 1)},
+}
+
+
+@pytest.mark.parametrize("case", CSV_CASES)
+def test_emit_csv_matches_per_value_reference(capsys, case):
+    header, columns, comments, axes = CSV_CASES[case]
+    cli._emit(("csv", None), header, columns, comments, axes=axes)
+    assert capsys.readouterr().out == _csv_reference(header, columns, comments, axes)
+
+
 class _FailingSink:
     """Stand-in for stdout that takes the first `ok` writes and raises on the
     next."""
@@ -1032,38 +1076,47 @@ def test_each_malformed_block_names_its_key(tmp_path, capsys, no_propagation, bl
 
 
 # Configs whose arithmetic leaves the float64 range, with the commands that
-# reach it: (a) the determinant margin squares lambda*hbar, (b) the ops
-# coefficients square |a|, (c) the Gibbs preset divides by tanh of an
-# underflowed hbar*omega/2kT, (d) the determinant squares sigma_pq, and (e) the
-# steady state divides by an underflowed denominator, and (f) the determinant
-# margin's d_pp * d_qq overflows to +inf.
+# reach it and what the error line names: (a) the determinant margin squares
+# lambda*hbar, (b) the ops coefficients square |a|, (c) the Gibbs preset
+# divides by tanh of an underflowed hbar*omega/2kT, (d) the determinant squares
+# sigma_pq, and (e) the steady state divides by an underflowed denominator, and
+# (f) the determinant margin's d_pp * d_qq overflows to +inf.
 FLOAT_RANGE_CASES = {
     "a-friction": (gibbs_config(oscillator={"omega": 1.0, "lambda": 1.4e156},
-                                diffusion={"d_qq": 0.0, "d_pp": 0.0}), COMMANDS_WITH_CONFIG),
+                                diffusion={"d_qq": 0.0, "d_pp": 0.0}), COMMANDS_WITH_CONFIG,
+                   "determinant margin d_pp*d_qq - d_pq**2 - (lam*hbar/2)**2 with d_pp=0.0, "
+                   "d_qq=0.0, d_pq=0.0, lam=1.4e+156, hbar=1.0"),
     "b-ops": (gibbs_config(diffusion={"ops": [{"a": [1e160, 0.0], "b": [0.0, 1.0]}]}),
-              COMMANDS_WITH_CONFIG),
+              COMMANDS_WITH_CONFIG, "|c|**2 of the largest ops coefficient c with c=(1e+160+0j)"),
     "c-gibbs": (gibbs_config(oscillator={"omega": 1.0, "lambda": 0.2, "hbar": 1e-100},
                              diffusion={"preset": "gibbs", "temperature": 1e300}),
-                COMMANDS_WITH_CONFIG),
+                COMMANDS_WITH_CONFIG,
+                "1/tanh(hbar*omega/(2*boltzmann*temperature)) with hbar=1e-100, omega=1.0, "
+                "boltzmann=1.0, temperature=1e+300"),
     "d-moments": (gibbs_config(initial_state={"sigma_q": 0.0, "sigma_p": 0.0, "sigma_qq": 1e200,
                                               "sigma_pp": 1e200, "sigma_pq": 1e160}),
-                  COMMANDS_WITH_CONFIG),
+                  COMMANDS_WITH_CONFIG, "sigma_pq**2 with sigma_pq=1e+160"),
     "e-steady": (gibbs_config(oscillator={"m": 1e-150, "omega": 1e-100, "lambda": 1e-101},
                               diffusion={"d_qq": 1.0, "d_pp": 1.0}),
-                 ["evolve", "steady", "purity-scan"]),
-    "f-margin": (gibbs_config(diffusion={"d_qq": 1e200, "d_pp": 1e200}), COMMANDS_WITH_CONFIG),
+                 ["evolve", "steady", "purity-scan"],
+                 "steady-state denominator m**2 * 2*lam*(lam**2 + omega**2 - mu**2) with "
+                 "m=1e-150, omega=1e-100, lam=1e-101, mu=0.0"),
+    "f-margin": (gibbs_config(diffusion={"d_qq": 1e200, "d_pp": 1e200}), COMMANDS_WITH_CONFIG,
+                 "determinant margin d_pp*d_qq - d_pq**2 - (lam*hbar/2)**2 with d_pp=1e+200, "
+                 "d_qq=1e+200, d_pq=0.0, lam=0.2, hbar=1.0"),
 }
 
 
 @pytest.mark.parametrize("case,command", [
-    (case, command) for case, (_, commands) in FLOAT_RANGE_CASES.items() for command in commands
+    (case, command) for case, (_, commands, _) in FLOAT_RANGE_CASES.items()
+    for command in commands
 ])
 def test_float_range_overflow_exits_one(tmp_path, capsys, case, command):
-    conf, _ = FLOAT_RANGE_CASES[case]
+    conf, _, named = FLOAT_RANGE_CASES[case]
     code, out, err = _main_error(capsys, [command, "--config", write_config(tmp_path, conf)])
     errors = [line for line in err if line.startswith("error:")]
     assert (code, out, len(errors)) == (1, "", 1)
-    assert errors[0].startswith("error: value outside the floating-point range: ")
+    assert errors[0] == f"error: value outside the floating-point range: {named}"
     assert not any("Traceback" in line for line in err)
     # The weak-coupling warning of case (a) is kept; nothing else is printed.
     assert [line for line in err if line not in errors] == (

@@ -202,8 +202,10 @@ def test_validate_determinant_failure():
 
 
 def test_overflowed_determinant_margin_raises():
-    with pytest.raises(OverflowError, match="^determinant margin inf overflows$"):
+    with pytest.raises(OverflowError) as info:
         determinant_margin(DiffusionSpec(d_qq=1e200, d_pp=1e200), 0.1, 1.0)
+    assert str(info.value) == ("determinant margin d_pp*d_qq - d_pq**2 - (lam*hbar/2)**2 with "
+                               "d_pp=1e+200, d_qq=1e+200, d_pq=0.0, lam=0.1, hbar=1.0")
     # A margin that overflows below zero is a failed constraint, not an error.
     assert determinant_margin(DiffusionSpec(d_qq=-1e200, d_pp=1e200), 0.1, 1.0) == -math.inf
 
