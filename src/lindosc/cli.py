@@ -14,6 +14,7 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import sys
 import warnings
 from typing import NamedTuple
@@ -230,8 +231,8 @@ def _json_cells(column: np.ndarray) -> list[str]:
     return ["null" if v != v else repr(v) for v in column.tolist()]
 
 
-# Most rows of a column table that _emit writes at a time as JSON, and most
-# fields that it writes at a time as CSV.
+# Most rows that _emit writes at a time as JSON, and most fields that it
+# writes at a time as CSV.
 _BLOCK_ROWS = 1024
 _BLOCK_FIELDS = 4096
 
@@ -251,11 +252,11 @@ def _emit(output: tuple[str, str | None], header: list[str], columns: list,
     json.dumps(indent=1) would.
 
     Every check runs before the first byte is written.  The rows are then
-    formatted one block at a time, so memory does not grow with the output;
-    each axis value is formatted once.  A CSV block is at most _BLOCK_FIELDS
-    fields, its text made in numpy by _csvtext.  A JSON block is one
-    outer-axis row of a grid or at most _BLOCK_ROWS rows of a table, filled
-    into a template built once.
+    formatted one block at a time, so memory does not grow with the output:
+    a CSV block is at most _BLOCK_FIELDS fields, its text made in numpy by
+    _csvtext, and a JSON block at most _BLOCK_ROWS rows, each filled into
+    one row template.  Each axis value is formatted once and gathered into
+    the blocks of both formats alike.
     """
     fmt, path = output
     columns = [np.ravel(c) for c in columns]
@@ -269,20 +270,11 @@ def _emit(output: tuple[str, str | None], header: list[str], columns: list,
         from . import _csvtext
 
         head = "".join(f"# {line}\n" for line in comments or []) + ",".join(header) + "\n"
-        tail = ""
+        tail = sep = ""
         size = max(1, _BLOCK_FIELDS // (len(axes) + len(columns)))
         axis_cells = [_csvtext.packed(cells) for cells in _csvtext.cells(list(axes))]
-
-        def block(k):
-            fields = _csvtext.cells([c[k * size:(k + 1) * size] for c in columns])
-            if axes:
-                outer, inner = axis_cells
-                point = np.arange(k * size, min((k + 1) * size, n_rows))
-                fields[:0] = [np.take(outer, point // len(inner), axis=0),
-                              np.take(inner, point % len(inner), axis=0)]
-            return _csvtext.lines(fields)
+        cells, join = _csvtext.cells, _csvtext.lines
     else:
-        axis_cells = [_json_cells(axis) for axis in axes]
         payload = {"rows": []}
         if comments:
             payload["metadata"] = comments
@@ -290,30 +282,28 @@ def _emit(output: tuple[str, str | None], header: list[str], columns: list,
         head, _, tail = text.partition("[]")  # the rows, the first key
         head += "[\n" if n_rows else "[]"
         tail = ("\n ]" if n_rows else "") + tail
-        keys = [f"   {json.dumps(name).replace('%', '%%')}: " for name in header]
+        sep, size = ",\n", _BLOCK_ROWS
+        axis_cells = [np.array(_json_cells(axis), dtype=object) for axis in axes]
+        row = "  {\n" + ",\n".join(
+            f"   {json.dumps(name).replace('%', '%%')}: %s" for name in header) + "\n  }"
 
-        def row(fields):
-            return "  {\n" + ",\n".join(map(str.__add__, keys, fields)) + "\n  }"
+        def cells(block_columns):
+            return [_json_cells(c) for c in block_columns]
 
-        size = len(axes[1]) if axes else _BLOCK_ROWS
+        def join(fields):
+            return sep.join([row] * len(fields[0])) % tuple(
+                itertools.chain.from_iterable(zip(*fields)))
+
+    def block(k):
+        """The text of block k, with the separator from the block before."""
+        start = k * size
+        fields = cells([c[start:start + size] for c in columns])
         if axes:
             outer, inner = axis_cells
-            # "\0" marks the outer axis cell, which no formatted number holds.
-            # Each grid row fills it in a fresh copy of the template, not as a %
-            # argument: where the caller keeps every block, as perfbench's
-            # phase_grid does, the process then peaks 17 MB lower.
-            lines = [row(["\0", cell, *["%s"] * len(columns)]) for cell in inner]
-        else:
-            outer, lines = [""] * -(-n_rows // size), [row(["%s"] * len(columns))] * size
-        full = ",\n".join(lines)
-
-        def block(k):
-            """The text of block k, with the separator from the block before."""
-            start = k * size
-            values = [_json_cells(c[start:start + size]) for c in columns]
-            form = full if len(values[0]) == size else ",\n".join(lines[:len(values[0])])
-            return (",\n" if k else "") + form.replace("\0", outer[k]) % tuple(
-                itertools.chain.from_iterable(zip(*values)))
+            point = np.arange(start, min(start + size, n_rows))
+            fields[:0] = [np.take(outer, point // len(inner), axis=0),
+                          np.take(inner, point % len(inner), axis=0)]
+        return (sep if k else "") + join(fields)
 
     try:
         with (open(path, "w", encoding="utf-8", newline="") if path
@@ -559,6 +549,13 @@ def main(argv=None) -> int:
             return args.func(args)
         except (ConfigError, ParameterError, InvalidStateError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except BrokenPipeError as exc:  # stdout's reader has gone, as under `| head`
+            # Stdout then points at /dev/null, so that its flush at exit stays silent.
+            with contextlib.suppress(AttributeError, OSError):  # a stand-in with no fileno
+                fd = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
             return 1
         except ArithmeticError as exc:  # an overflow or a division by an underflowed 0
             print(f"error: value outside the floating-point range: {exc}", file=sys.stderr)

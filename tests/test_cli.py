@@ -807,13 +807,18 @@ JSON_CASES.update({
     f"{rows}-rows": _table_case(rows)
     for rows in (1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 2 * cli._BLOCK_ROWS + 1)
 })
-# Non-ASCII text over three blocks, which more than one process may format.
+# Non-ASCII text over three blocks.
 JSON_CASES["3-blocks-non-ascii"] = (
     ["t", "name"],
     [np.arange(2 * cli._BLOCK_ROWS + 1) / 7,
      [f"\u00e9{k}\u2603" for k in range(2 * cli._BLOCK_ROWS + 1)]],
     None, (),
 )
+# Header names holding %, which the row template must escape.
+JSON_CASES["percent-header"] = (["100%", "a%%b%s"], [[0.5, math.nan], [1, 2]], None, ())
+# A grid whose blocks of B points end in the middle of an outer-axis row.
+JSON_CASES.update({"grid-3x683": (["q", "p", "value", "flag"], columns, ["measure=test"], axes)
+                   for columns, axes in [_grid_case(3, 683)]})
 
 
 @pytest.mark.parametrize("case", JSON_CASES)
@@ -905,6 +910,24 @@ def test_full_output_device_exits_one(tmp_path, capsys):
         "", f"error: cannot write output: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve"], ["wigner-grid", "--format", "json", "--n-q", "512", "--n-p", "512"],
+])
+def test_closed_stdout_pipe_exits_one(tmp_path, argv):
+    # The reader takes a few bytes of an output far larger than a pipe holds
+    # and closes its end; the next write fails with EPIPE.
+    times = {"t_start": 0.0, "t_end": 50.0, "n_samples": 20_001}
+    config = write_config(tmp_path, gibbs_config(times=times))
+    with subprocess.Popen([sys.executable, "-m", "lindosc", *argv, "--config", config],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, **DEV_MODE}) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert proc.returncode == 1
+    assert stderr == f"error: cannot write output: {OSError(errno.EPIPE, os.strerror(errno.EPIPE))}\n"
+
+
 class _CountingSink:
     """Stand-in for stdout that counts the characters written and keeps none."""
 
@@ -914,6 +937,19 @@ class _CountingSink:
     def write(self, text: str) -> int:
         self.written += len(text)
         return len(text)
+
+
+class _KeepingSink(_CountingSink):
+    """Stand-in for stdout that counts the characters written and keeps them
+    all, as the benchmark's in-process capture does."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+
+    def write(self, text: str) -> int:
+        self.chunks.append(text)
+        return super().write(text)
 
 
 def _traced_peak(call) -> int:
@@ -931,9 +967,10 @@ def _traced_peak(call) -> int:
             tracemalloc.stop()
 
 
-def _emit_peak_share(fmt: str, case: str) -> float:
-    """The peak allocation inside _emit per character written, as a share of
-    its bound: 1/8 of a character for a grid, one for a table."""
+def _emit_peak_share(fmt: str, case: str, sink: _CountingSink | None = None) -> float:
+    """The peak allocation inside _emit per character written to `sink`, a
+    _CountingSink by default, as a share of its bound: 1/8 of a character
+    for a grid, one for a table."""
     rng = np.random.default_rng(1)
     if case == "grid-512x512":
         header, axes = ["q", "p", "value"], (np.linspace(-3, 3, 512), np.linspace(-2, 2, 512))
@@ -941,7 +978,7 @@ def _emit_peak_share(fmt: str, case: str) -> float:
     else:
         header, axes = [f"c{i}" for i in range(15)], ()
         columns, share = list(rng.random((15, 10_001))), 1.0
-    sink = _CountingSink()
+    sink = sink or _CountingSink()
 
     def emit():
         with contextlib.redirect_stdout(sink):
@@ -956,6 +993,13 @@ def _emit_peak_share(fmt: str, case: str) -> float:
 @pytest.mark.parametrize("case", ["grid-512x512", "table-10001x15"])
 def test_emit_memory_stays_below_the_output_size(fmt, case):
     assert _emit_peak_share(fmt, case) < 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_memory_holds_kept_text_once(fmt):
+    """A caller that keeps every chunk holds the text once: the peak is at
+    most 1.1 times the characters written."""
+    assert _emit_peak_share(fmt, "grid-512x512", _KeepingSink()) / 8 <= 1.1
 
 
 @pytest.mark.parametrize("argv", [["evolve"], ["evolve", "--format", "json"], ["purity-scan"]])
