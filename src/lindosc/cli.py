@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -224,13 +223,6 @@ def _window(cfg: dict, osc: OscillatorSpec, args) -> CoherentWindow:
     return CoherentWindow.squeezed(s_qq, hbar=osc.hbar)
 
 
-def _json_cells(column: np.ndarray) -> list[str]:
-    """JSON text of each value: floats as their shortest repr, NaN as null."""
-    if column.dtype.kind != "f":
-        return list(map(json.dumps, column.tolist()))
-    return ["null" if v != v else repr(v) for v in column.tolist()]
-
-
 # Most rows that _emit writes at a time as JSON, and most fields that it
 # writes at a time as CSV.
 _BLOCK_ROWS = 1024
@@ -248,15 +240,17 @@ def _emit(output: tuple[str, str | None], header: list[str], columns: list,
     value per row; a 2-D array is read in row-major order, so point (i, j)
     of a grid is index i * len(axes[1]) + j.  A float column holding +-inf
     raises ConsistencyError.  CSV prints numbers as '%.17g' does and bools
-    as true/false.  JSON prints NaN as null and lays the rows out as
-    json.dumps(indent=1) would.
+    as true/false.  JSON prints floats as repr does, NaN as null, and lays
+    the rows out as json.dumps(indent=1) would.
 
     Every check runs before the first byte is written.  The rows are then
     formatted one block at a time, so memory does not grow with the output:
-    a CSV block is at most _BLOCK_FIELDS fields, its text made in numpy by
-    _csvtext, and a JSON block at most _BLOCK_ROWS rows, each filled into
-    one row template.  Each axis value is formatted once and gathered into
-    the blocks of both formats alike.
+    a CSV block is at most _BLOCK_FIELDS fields and a JSON block at most
+    _BLOCK_ROWS rows.  Both formats make their cells in numpy, by _csvtext
+    or _jsontext, and join them the same way: into one byte canvas per
+    block, each cell after its field's constant separator (a comma, or the
+    JSON key), each row ended by the row's end.  Each axis value is
+    formatted once and gathered into the blocks.
     """
     fmt, path = output
     columns = [np.ravel(c) for c in columns]
@@ -264,46 +258,43 @@ def _emit(output: tuple[str, str | None], header: list[str], columns: list,
         if c.dtype.kind == "f" and np.isinf(c).any():
             raise ConsistencyError(f"output column {name} holds an infinite value")
     n_rows = len(columns[0])
-    if fmt == "csv":
-        # Imported here: its tables cost about 1 MB and 3 ms, which JSON
-        # output and the library API need not pay.
-        from . import _csvtext
+    # Imported here: _csvtext's tables cost about 1 MB and 4 ms, which the
+    # library API need not pay, and _jsontext's 1 ms more, which CSV output
+    # need not pay.
+    from . import _csvtext
 
+    if fmt == "csv":
+        formatter = _csvtext
         head = "".join(f"# {line}\n" for line in comments or []) + ",".join(header) + "\n"
         tail = sep = ""
         size = max(1, _BLOCK_FIELDS // (len(axes) + len(columns)))
-        axis_cells = [_csvtext.packed(cells) for cells in _csvtext.cells(list(axes))]
-        cells, join = _csvtext.cells, _csvtext.lines
+        seps, end = None, b"\n"
     else:
+        from . import _jsontext as formatter
+
         payload = {"rows": []}
         if comments:
             payload["metadata"] = comments
-        text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
-        head, _, tail = text.partition("[]")  # the rows, the first key
+        dumped = json.dumps(payload, indent=1, allow_nan=False) + "\n"
+        head, _, tail = dumped.partition("[]")  # the rows, the first key
         head += "[\n" if n_rows else "[]"
         tail = ("\n ]" if n_rows else "") + tail
         sep, size = ",\n", _BLOCK_ROWS
-        axis_cells = [np.array(_json_cells(axis), dtype=object) for axis in axes]
-        row = "  {\n" + ",\n".join(
-            f"   {json.dumps(name).replace('%', '%%')}: %s" for name in header) + "\n  }"
-
-        def cells(block_columns):
-            return [_json_cells(c) for c in block_columns]
-
-        def join(fields):
-            return sep.join([row] * len(fields[0])) % tuple(
-                itertools.chain.from_iterable(zip(*fields)))
+        seps, end = [f",\n   {json.dumps(name)}: ".encode() for name in header], b"\n  }"
+        seps[0] = b",\n  {" + seps[0][1:]  # each row opens its object
+    axis_cells = [_csvtext.packed(cells) for cells in formatter.cells(list(axes))]
 
     def block(k):
         """The text of block k, with the separator from the block before."""
         start = k * size
-        fields = cells([c[start:start + size] for c in columns])
+        fields = formatter.cells([c[start:start + size] for c in columns])
         if axes:
             outer, inner = axis_cells
             point = np.arange(start, min(start + size, n_rows))
             fields[:0] = [np.take(outer, point // len(inner), axis=0),
                           np.take(inner, point % len(inner), axis=0)]
-        return (sep if k else "") + join(fields)
+        text = _csvtext.lines(fields, seps, end)
+        return text if k else text[len(sep):]
 
     try:
         with (open(path, "w", encoding="utf-8", newline="") if path

@@ -814,8 +814,16 @@ JSON_CASES["3-blocks-non-ascii"] = (
      [f"\u00e9{k}\u2603" for k in range(2 * cli._BLOCK_ROWS + 1)]],
     None, (),
 )
-# Header names holding %, which the row template must escape.
+# Header names holding %, which go into the separators of each row as they are.
 JSON_CASES["percent-header"] = (["100%", "a%%b%s"], [[0.5, math.nan], [1, 2]], None, ())
+# Floats on each side of every boundary of repr's layout, on grid axes and
+# in a column mixed with bools, strings and NaN.
+JSON_CASES["layout-boundaries"] = (
+    ["q", "p", "value", "flag", "name"],
+    [[1e-4, math.nan, -0.0, 123.0, 1e16, 1e-5], [True, False] * 3, list("abcdef")],
+    None,
+    (np.array([1e16, 9999999999999998.0]), np.array([1e-4, 1e-5, -0.0])),
+)
 # A grid whose blocks of B points end in the middle of an outer-axis row.
 JSON_CASES.update({"grid-3x683": (["q", "p", "value", "flag"], columns, ["measure=test"], axes)
                    for columns, axes in [_grid_case(3, 683)]})
