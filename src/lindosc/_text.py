@@ -1,22 +1,40 @@
-"""CSV text of numbers, bools and strings, made in numpy.
+"""CSV and JSON text of numbers, bools and strings, made in numpy.
 
-`cells(columns)` gives one row of bytes per value, padded with NULs, which
-no cell text holds.  Without its NULs, row i is '%.17g' % v for a float or int v,
-'true' or 'false' for a bool, and the UTF-8 bytes of str(v) for anything else.
-`lines(fields)` joins the cells of one block into CSV lines, and with other
-separators into JSON rows.
+`cells(columns, fmt)` gives one row of bytes per value, padded with NULs,
+which no cell text holds.  Without its NULs, row i is 'true' or 'false' for
+a bool in both formats.  In CSV it is '%.17g' % v for a float or int v and
+the UTF-8 bytes of str(v) for anything else.  In JSON it is repr(v) for a
+float v (the shortest text that reads back as v), null for NaN, and
+json.dumps(v) for an int, a string or anything else.  `lines(fields)` joins
+the cells of one block into CSV lines, and with other separators into JSON
+rows.
 
 A float's 17 digits are round-half-even(|x| * 10**(16 - k)) with k its
 decimal exponent.  The product is taken in double-double arithmetic (Dekker,
 Numer. Math. 18, 1971), which brackets it tightly enough to round it exactly
 except within a hair of a tie; where 10**(16 - k) is a double, the product
-is exact and so are its ties.  The few values left unsure are formatted by
-Python's %, which is also the reference the tests compare every digit
-against.  `_jsontext` takes its shortest digits from the same product and
-lays them out with the same slots and masks.
+is exact and so are its ties.
+
+JSON's shortest digits come from the same product X (Steele & White, PLDI
+1990; Adams, "Ryu", PLDI 2018).  The correctly rounded 15-, 16- and 17-digit
+decimals nearest x are round-half-even(X / 100), (X / 10) and X.  A decimal
+reads back as x if it lies within half an ulp of x, which is H = 2**(E - 1)
+* 10**(16 - k) on the scale of X, for x = M * 2**E with M of 53 bits.  At
+most one decimal of 15 digits lies that close, as 15 digits resolve less
+than an ulp (DBL_DIG = 15); so where the 15-digit one does, it is the
+shortest text with its trailing zeros dropped.  Otherwise the 16-digit one
+is, where it reads back, and the 17-digit one where not.
+
+Both formats lay the digits out with the same slots and masks.  Python
+formats the few values left unsure, by % in CSV and repr in JSON, which are
+also the references the tests compare every digit against.  In JSON those
+are the values within 2**-32 of a rounding or read-back boundary, exact
+powers of two, whose interval below is half as wide, and subnormals, whose
+ulp is not that of 53 bits.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -149,6 +167,26 @@ def _digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
     return _placed(x, finite, digits, k, unsure)
 
 
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The digits of repr(v) for each value of float64 x, as 17 with
+    trailing zeros, and k and where repr must format, as _placed gives them."""
+    finite, k, low, frac, e = _scaled(x)
+    d15, unsure = _rounded(low, frac, 100, k)
+    d16, unsure16 = _rounded(low, frac, 10, k)
+    d17, unsure17 = _rounded(low, frac, 1, k)
+    half = np.ldexp(_HI.take(16 - k - _N_MIN), e - 54)
+    # |D - X| - H for each candidate D: below 0 where D reads back as x.
+    gap15 = np.abs((d15 * 100 - low) - frac) - half
+    gap16 = np.abs((d16 * 10 - low) - frac) - half
+    digits = np.where(gap15 < 0, d15 * 100, np.where(gap16 < 0, d16 * 10, d17))
+    unsure |= np.abs(gap15) < _TIE_MARGIN
+    unsure |= (gap15 > 0) & (unsure16 | (np.abs(gap16) < _TIE_MARGIN)
+                             | (gap16 > 0) & unsure17)
+    ax = np.abs(x)
+    unsure |= (np.frexp(ax)[0] == 0.5) | (ax < 2.0**-1022)  # powers of two, subnormals
+    return _placed(x, finite, digits, k, unsure)
+
+
 # A float cell is 13 words of four bytes, most of them NUL by the end:
 #   0  NUL, the sign and the "0." of the fixed form of -4 <= k < 0
 #   1  that form's "000" and the lead digit
@@ -210,19 +248,15 @@ def _mask_table(point_zero: bool = False) -> np.ndarray:
     return _words((shown * np.uint8(255)).tobytes()).reshape(-1, _WIDTH // 4)
 
 
-_CLASS = _classes(16)
-_MASKS = _mask_table()
-_NAN = np.zeros(_WIDTH, np.uint8)
-_NAN[:3] = np.frombuffer(b"nan", np.uint8)
 _BOOLS = np.frombuffer(b"falsetrue\0", np.uint8).reshape(2, 5)
 
 
 def _laid_out(x: np.ndarray, digits: np.ndarray, k: np.ndarray, unsure: np.ndarray,
               classes: np.ndarray, masks: np.ndarray, nan: np.ndarray,
-              text) -> np.ndarray:
+              fallback) -> np.ndarray:
     """The float cells of x from its digits and k as _placed gives them, in
     the layout classes and masks of one format, with nan for NaN and
-    text(v), bytes, where unsure."""
+    fallback(v), bytes, where unsure."""
     words = np.empty((len(x), _WIDTH // 4), np.uint32)
     words[:, 0], words[:, 6], words[:, 11] = _SIGN, _DOT, _EXPONENT
     lead = digits // 10**16
@@ -240,28 +274,35 @@ def _laid_out(x: np.ndarray, digits: np.ndarray, k: np.ndarray, unsure: np.ndarr
     words &= masks.take(key, axis=0, mode="clip")
     out[np.isnan(x)] = nan
     for i in np.flatnonzero(unsure):
-        cell = text(x[i].item())
+        cell = fallback(x[i].item())
         out[i] = 0
         out[i, :len(cell)] = np.frombuffer(cell, np.uint8)
     return out
 
 
-def _float_cells(x: np.ndarray) -> np.ndarray:
-    """The cells of a float64 array; see cells."""
-    return _laid_out(x, *_digits(x), _CLASS, _MASKS, _NAN, b"%.17g".__mod__)
+# By format: the dtype kinds formatted as numbers, their digit routine, layout
+# classes, masks and NaN cell, the fallback for unsure values, and the text of
+# values that are neither numbers nor bools.  repr's layout is fixed for
+# -4 <= k <= 15, with ".0" on an integral value, and d.ddde+XX otherwise.
+_FORMATS = {
+    "csv": ("fiu", _digits, _classes(16), _mask_table(),
+            np.frombuffer(b"nan".ljust(_WIDTH, b"\0"), np.uint8), b"%.17g".__mod__, str),
+    "json": ("f", _shortest, _classes(15), _mask_table(point_zero=True),
+             np.frombuffer(b"null".ljust(_WIDTH, b"\0"), np.uint8),
+             lambda v: repr(v).encode(), json.dumps),
+}
 
 
-def cells(columns: list[np.ndarray], numbers: str = "fiu", float_cells=_float_cells,
-          text=str) -> list[np.ndarray]:
-    """The text of each value of each 1-D array, one NUL-padded uint8 row
-    per value.  The columns whose dtype kind is in `numbers` are formatted
-    together, as float64, by float_cells; bools are true or false, and any
-    other value is text(v) in UTF-8.  The defaults give CSV: '%.17g' % v for
-    numbers and str(v) otherwise."""
+def cells(columns: list[np.ndarray], fmt: str) -> list[np.ndarray]:
+    """The text of each value of each 1-D array in format fmt, "csv" or
+    "json", one NUL-padded uint8 row per value.  The numbers of all columns
+    are formatted together, as float64."""
+    numbers, digits, classes, masks, nan, fallback, text = _FORMATS[fmt]
     numeric = [c.dtype.kind in numbers for c in columns]
     if any(numeric):
-        values = np.concatenate([c for c, n in zip(columns, numeric) if n])
-        formatted = float_cells(values.astype(np.float64, copy=False))
+        x = np.concatenate([c for c, n in zip(columns, numeric) if n])
+        x = x.astype(np.float64, copy=False)
+        formatted = _laid_out(x, *digits(x), classes, masks, nan, fallback)
     out = []
     for c, n in zip(columns, numeric):
         if n:

@@ -223,9 +223,7 @@ def _window(cfg: dict, osc: OscillatorSpec, args) -> CoherentWindow:
     return CoherentWindow.squeezed(s_qq, hbar=osc.hbar)
 
 
-# Most rows that _emit writes at a time as JSON, and most fields that it
-# writes at a time as CSV.
-_BLOCK_ROWS = 1024
+# Most fields that _emit writes at a time, in either format.
 _BLOCK_FIELDS = 4096
 
 
@@ -245,12 +243,11 @@ def _emit(output: tuple[str, str | None], header: list[str], columns: list,
 
     Every check runs before the first byte is written.  The rows are then
     formatted one block at a time, so memory does not grow with the output:
-    a CSV block is at most _BLOCK_FIELDS fields and a JSON block at most
-    _BLOCK_ROWS rows.  Both formats make their cells in numpy, by _csvtext
-    or _jsontext, and join them the same way: into one byte canvas per
-    block, each cell after its field's constant separator (a comma, or the
-    JSON key), each row ended by the row's end.  Each axis value is
-    formatted once and gathered into the blocks.
+    a block is at most _BLOCK_FIELDS fields in either format.  _text makes
+    the cells of a block in numpy and joins them into one byte canvas, each
+    cell after its field's constant separator (a comma, or the JSON key),
+    each row ended by the row's end.  Each axis value is formatted once and
+    gathered into the blocks.
     """
     fmt, path = output
     columns = [np.ravel(c) for c in columns]
@@ -258,20 +255,15 @@ def _emit(output: tuple[str, str | None], header: list[str], columns: list,
         if c.dtype.kind == "f" and np.isinf(c).any():
             raise ConsistencyError(f"output column {name} holds an infinite value")
     n_rows = len(columns[0])
-    # Imported here: _csvtext's tables cost about 1 MB and 4 ms, which the
-    # library API need not pay, and _jsontext's 1 ms more, which CSV output
-    # need not pay.
-    from . import _csvtext
+    # Imported here: _text's tables cost about 1 MB and 5 ms, which the
+    # library API need not pay.
+    from . import _text
 
     if fmt == "csv":
-        formatter = _csvtext
         head = "".join(f"# {line}\n" for line in comments or []) + ",".join(header) + "\n"
         tail = sep = ""
-        size = max(1, _BLOCK_FIELDS // (len(axes) + len(columns)))
         seps, end = None, b"\n"
     else:
-        from . import _jsontext as formatter
-
         payload = {"rows": []}
         if comments:
             payload["metadata"] = comments
@@ -279,21 +271,22 @@ def _emit(output: tuple[str, str | None], header: list[str], columns: list,
         head, _, tail = dumped.partition("[]")  # the rows, the first key
         head += "[\n" if n_rows else "[]"
         tail = ("\n ]" if n_rows else "") + tail
-        sep, size = ",\n", _BLOCK_ROWS
+        sep = ",\n"
         seps, end = [f",\n   {json.dumps(name)}: ".encode() for name in header], b"\n  }"
         seps[0] = b",\n  {" + seps[0][1:]  # each row opens its object
-    axis_cells = [_csvtext.packed(cells) for cells in formatter.cells(list(axes))]
+    size = max(1, _BLOCK_FIELDS // (len(axes) + len(columns)))
+    axis_cells = [_text.packed(cells) for cells in _text.cells(list(axes), fmt)]
 
     def block(k):
         """The text of block k, with the separator from the block before."""
         start = k * size
-        fields = formatter.cells([c[start:start + size] for c in columns])
+        fields = _text.cells([c[start:start + size] for c in columns], fmt)
         if axes:
             outer, inner = axis_cells
             point = np.arange(start, min(start + size, n_rows))
             fields[:0] = [np.take(outer, point // len(inner), axis=0),
                           np.take(inner, point % len(inner), axis=0)]
-        text = _csvtext.lines(fields, seps, end)
+        text = _text.lines(fields, seps, end)
         return text if k else text[len(sep):]
 
     try:

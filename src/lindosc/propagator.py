@@ -251,7 +251,9 @@ def sample_trajectory(
         return []
     t_arr = np.asarray(times, dtype=float)
     cov = evolve_covariances(osc, diff, state0, t_arr).T
-    moments = (*evolve_means(osc, state0, t_arr), *_unscaled(osc, *cov))
+    # A moment beyond the float range is inf, which GaussianState refuses.
+    with np.errstate(over="ignore"):
+        moments = (*evolve_means(osc, state0, t_arr), *_unscaled(osc, *cov))
     pairs = []
     # Rows hold Python floats: scalar arithmetic on numpy scalars is slower.
     for t, *row in zip(t_arr.tolist(), *(m.tolist() for m in moments)):

@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,10 +65,15 @@ def gibbs_config(**over):
     return cfg
 
 
+def _block_rows(n_fields: int) -> int:
+    """The rows of one output block of a table of n_fields fields."""
+    return cli._BLOCK_FIELDS // n_fields
+
+
 def _evolve_config(tmp_path):
     """A scenario whose evolve output is a table of three output blocks."""
     return write_config(tmp_path, gibbs_config(times={
-        "t_start": 0.0, "t_end": 50.0, "n_samples": 2 * cli._BLOCK_ROWS + 1}))
+        "t_start": 0.0, "t_end": 50.0, "n_samples": 2 * _block_rows(len(cli.RUN_COLUMNS)) + 1}))
 
 
 def pure_config():
@@ -238,7 +244,7 @@ def test_evolve_output_file(tmp_path, capsys):
         assert cli.main(["evolve", "--config", cfg, "--format", fmt]) == 0
         assert target.read_bytes() == capsys.readouterr().out.encode("utf-8")
         if fmt == "csv":
-            assert len(parse_csv(target.read_text())[1]) == 2 * cli._BLOCK_ROWS + 1
+            assert len(parse_csv(target.read_text())[1]) == 2 * _block_rows(len(cli.RUN_COLUMNS)) + 1
 
 
 def test_steady_command(tmp_path):
@@ -752,9 +758,10 @@ def test_emit_axes_match_expanded_columns(capsys, fmt):
         assert with_axes == capsys.readouterr().out
 
 
-# Grids of 1, B, B + 1 and 2B + 1 points, B = cli._BLOCK_ROWS, so that the
-# expanded tables end on and just past a block boundary.
-GRID_SHAPES = ((1, 1), (4, cli._BLOCK_ROWS // 4), (25, 41), (3, 683))
+# Grids of 1, B, B + 1 and 2B + 1 points, B = _block_rows(4) = 1024 for the
+# fields q, p, value and flag, so that they end on and just past a block
+# boundary.
+GRID_SHAPES = ((1, 1), (4, _block_rows(4) // 4), (25, 41), (3, 683))
 
 
 def _grid_case(n_q: int, n_p: int) -> tuple:
@@ -796,22 +803,26 @@ JSON_CASES = {
 }
 
 
-def _table_case(rows: int) -> tuple:
+def _table_case(rows: int, fields: int = 4) -> tuple:
+    """The first `fields` of a float, bool, NaN-holding and int table of
+    `rows` rows."""
     t = np.arange(rows) / 7
     value = np.where(np.arange(rows) % 5 == 4, math.nan, -t)
-    return ["t", "flag", "value"], [t, t > 0.5, value], ["measure=dqdp"] if rows > 1 else None, ()
+    header = ["t", "flag", "value", "count"][:fields]
+    columns = [t, t > 0.5, value, np.arange(rows) - rows // 2][:fields]
+    return header, columns, ["measure=dqdp"] if rows > 1 else None, ()
 
 
-# Tables that end on and just past a block boundary.
+# Tables of four fields that end on and just past a block boundary.
 JSON_CASES.update({
     f"{rows}-rows": _table_case(rows)
-    for rows in (1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 2 * cli._BLOCK_ROWS + 1)
+    for rows in (1, _block_rows(4), _block_rows(4) + 1, 2 * _block_rows(4) + 1)
 })
 # Non-ASCII text over three blocks.
 JSON_CASES["3-blocks-non-ascii"] = (
     ["t", "name"],
-    [np.arange(2 * cli._BLOCK_ROWS + 1) / 7,
-     [f"\u00e9{k}\u2603" for k in range(2 * cli._BLOCK_ROWS + 1)]],
+    [np.arange(2 * _block_rows(2) + 1) / 7,
+     [f"\u00e9{k}\u2603" for k in range(2 * _block_rows(2) + 1)]],
     None, (),
 )
 # Header names holding %, which go into the separators of each row as they are.
@@ -861,16 +872,16 @@ def _mixed_case(rows: int) -> tuple:
                                                       value], None, ()
 
 
-# The JSON cases, the test grids, and tables that end on and just past a CSV
-# block of B fields, B = cli._BLOCK_FIELDS.
+# The JSON cases, the test grids, and tables of three and five fields that
+# end on and just past a block boundary.
 CSV_CASES = {
     **JSON_CASES,
     **{f"grid-{n_q}x{n_p}": (["q", "p", "value", "flag"], columns, ["measure=test"], axes)
        for n_q, n_p in GRID_SHAPES for columns, axes in [_grid_case(n_q, n_p)]},
-    **{f"{rows}-rows-csv": _table_case(rows)
-       for rows in (cli._BLOCK_FIELDS // 3, cli._BLOCK_FIELDS // 3 + 1)},
+    **{f"{rows}-rows-csv": _table_case(rows, 3)
+       for rows in (_block_rows(3), _block_rows(3) + 1)},
     **{f"{rows}-rows-mixed": _mixed_case(rows)
-       for rows in (1, cli._BLOCK_FIELDS // 5, 2 * (cli._BLOCK_FIELDS // 5) + 1)},
+       for rows in (1, _block_rows(5), 2 * _block_rows(5) + 1)},
 }
 
 
@@ -879,6 +890,25 @@ def test_emit_csv_matches_per_value_reference(capsys, case):
     header, columns, comments, axes = CSV_CASES[case]
     cli._emit(("csv", None), header, columns, comments, axes=axes)
     assert capsys.readouterr().out == _csv_reference(header, columns, comments, axes)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_block_holds_at_most_block_fields(monkeypatch, fmt):
+    """Each write between the head and the tail holds at most _BLOCK_FIELDS
+    fields, in a 15-column table of three blocks and in a 3-field grid."""
+    rows = 2 * _block_rows(15) + 1
+    q, p = np.linspace(-1.0, 1.0, 3), np.linspace(-2.0, 2.0, 1000)
+    cases = [([f"c{i}" for i in range(15)], list(np.arange(15.0 * rows).reshape(15, rows) / 7),
+              (), rows),
+             (["q", "p", "value"], [np.add.outer(q, p)], (q, p), q.size * p.size)]
+    for header, columns, axes, n_rows in cases:
+        writes = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        cli._emit((fmt, None), header, columns, axes=axes)
+        # Each row ends with a newline in CSV and closes its object in JSON.
+        block_rows = [text.count("\n" if fmt == "csv" else "}") for text in writes[1:-1]]
+        assert sum(block_rows) == n_rows and len(block_rows) >= 3
+        assert max(block_rows) * len(header) <= cli._BLOCK_FIELDS
 
 
 class _FailingSink:
@@ -1131,8 +1161,9 @@ def test_each_malformed_block_names_its_key(tmp_path, capsys, no_propagation, bl
 # reach it and what the error line names: (a) the determinant margin squares
 # lambda*hbar, (b) the ops coefficients square |a|, (c) the Gibbs preset
 # divides by tanh of an underflowed hbar*omega/2kT, (d) the determinant squares
-# sigma_pq, and (e) the steady state divides by an underflowed denominator, and
-# (f) the determinant margin's d_pp * d_qq overflows to +inf.
+# sigma_pq, (e) the steady state divides by an underflowed denominator, (f) the
+# determinant margin's d_pp * d_qq overflows to +inf, and (g) the batch moments
+# divide by m*omega = 1e-300, and the determinant squares the sigma_pq beside.
 FLOAT_RANGE_CASES = {
     "a-friction": (gibbs_config(oscillator={"omega": 1.0, "lambda": 1.4e156},
                                 diffusion={"d_qq": 0.0, "d_pp": 0.0}), COMMANDS_WITH_CONFIG,
@@ -1156,6 +1187,10 @@ FLOAT_RANGE_CASES = {
     "f-margin": (gibbs_config(diffusion={"d_qq": 1e200, "d_pp": 1e200}), COMMANDS_WITH_CONFIG,
                  "determinant margin d_pp*d_qq - d_pq**2 - (lam*hbar/2)**2 with d_pp=1e+200, "
                  "d_qq=1e+200, d_pq=0.0, lam=0.2, hbar=1.0"),
+    "g-batch": (gibbs_config(oscillator={"m": 1e-300, "omega": 1.0, "lambda": 0.0},
+                             diffusion={"d_qq": 1.0, "d_pp": 1.0},
+                             times={"t_start": 0.0, "t_end": 5.0, "n_samples": 3}),
+                ["evolve", "purity-scan"], "sigma_pq**2 with sigma_pq=3.581689072683869e+299"),
 }
 
 

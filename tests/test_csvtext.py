@@ -1,18 +1,18 @@
-"""The CSV text of `_csvtext.cells`, checked value by value against
+"""The CSV text of `_text.cells`, checked value by value against
 Python's '%.17g' %, true/false and str."""
 import math
 
 import numpy as np
 import pytest
 
-from lindosc import _csvtext
+from lindosc import _text
 
 
 def assert_exact(x: np.ndarray) -> None:
     """Every value of x formats as '%.17g' % v, one 2**16-value call at a time."""
     for start in range(0, len(x), 2**16):
         chunk = x[start:start + 2**16]
-        got = _csvtext.lines(_csvtext.cells([chunk])).splitlines()
+        got = _text.lines(_text.cells([chunk], "csv")).splitlines()
         want = ["%.17g" % v for v in chunk.tolist()]
         wrong = [(v.hex(), g, w) for v, g, w in zip(chunk.tolist(), got, want) if g != w]
         assert (len(got), wrong[:5]) == (len(chunk), [])
@@ -47,7 +47,7 @@ def test_ties_and_integers():
     x = np.concatenate([dyadics, integers, [1000000000000000.25, -0.5, 2.5e-5]])
     assert_exact(x)
     # Where 10**(16 - k) is a double the product is exact, and so is a tie.
-    assert not _csvtext._digits(x)[2].any()
+    assert not _text._digits(x)[2].any()
 
 
 @pytest.mark.parametrize("column,want", [
@@ -56,4 +56,4 @@ def test_ties_and_integers():
     (np.array(["inf", 'a"b%s', "é☃", ""]), ["inf", 'a"b%s', "é☃", ""]),
 ])
 def test_other_cells(column, want):
-    assert _csvtext.lines(_csvtext.cells([column])).splitlines() == want
+    assert _text.lines(_text.cells([column], "csv")).splitlines() == want

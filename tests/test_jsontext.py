@@ -1,4 +1,4 @@
-"""The JSON text of `_jsontext.cells`, checked value by value against
+"""The JSON text of `_text.cells`, checked value by value against
 Python's repr (NaN as null), true/false and json.dumps."""
 import json
 import math
@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from lindosc import _csvtext, _jsontext, cli
+from lindosc import _text, cli
 
 
 def assert_exact(x: np.ndarray) -> None:
@@ -15,7 +15,7 @@ def assert_exact(x: np.ndarray) -> None:
     call at a time."""
     for start in range(0, len(x), 2**16):
         chunk = x[start:start + 2**16]
-        got = _csvtext.lines(_jsontext.cells([chunk])).splitlines()
+        got = _text.lines(_text.cells([chunk], "json")).splitlines()
         want = ["null" if v != v else repr(v) for v in chunk.tolist()]
         wrong = [(v.hex(), g, w) for v, g, w in zip(chunk.tolist(), got, want) if g != w]
         assert (len(got), wrong[:5]) == (len(chunk), [])
@@ -63,7 +63,7 @@ def test_layout_boundaries():
     (np.array(["inf", 'a"b%s', "é☃", ""]), ['"inf"', '"a\\"b%s"', '"\\u00e9\\u2603"', '""']),
 ])
 def test_other_cells(column, want):
-    assert _csvtext.lines(_jsontext.cells([column])).splitlines() == want
+    assert _text.lines(_text.cells([column], "json")).splitlines() == want
 
 
 BASELINE = {
@@ -74,20 +74,20 @@ BASELINE = {
 }
 
 
-@pytest.mark.parametrize("fmt,module,most", [("json", _jsontext, 0.001), ("csv", _csvtext, 0)])
-def test_fallback_share_of_the_baseline_evolve_table(tmp_path, monkeypatch, fmt, module, most):
+@pytest.mark.parametrize("fmt,most", [("json", 0.001), ("csv", 0)])
+def test_fallback_share_of_the_baseline_evolve_table(tmp_path, monkeypatch, fmt, most):
     """Python formats at most 0.1% of the JSON floats of the baseline evolve
     table and none of its CSV floats: the bytes alone would not show values
     routed back through Python."""
     counts = []
-    digits = module._digits
+    placed = _text._placed
 
-    def counted(x):
-        placed = digits(x)
-        counts.append((len(x), int(placed[2].sum())))
-        return placed
+    def counted(x, *args):
+        digits, k, unsure = placed(x, *args)
+        counts.append((len(x), int(unsure.sum())))
+        return digits, k, unsure
 
-    monkeypatch.setattr(module, "_digits", counted)
+    monkeypatch.setattr(_text, "_placed", counted)
     config = tmp_path / "baseline.json"
     config.write_text(json.dumps(BASELINE))
     assert cli.main(["evolve", "--config", str(config), "--format", fmt, "--out", os.devnull]) == 0
