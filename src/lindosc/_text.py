@@ -1,13 +1,14 @@
-"""CSV and JSON text of numbers, bools and strings, made in numpy.
+"""CSV and JSON documents of numbers, bools and strings, made in numpy.
 
+`document(fmt, header, columns, comments, axes)` yields a whole document in
+pieces.  Each format's frame and cell rules are one entry of `_FORMATS`.
 `cells(columns, fmt)` gives one row of bytes per value, padded with NULs,
 which no cell text holds.  Without its NULs, row i is 'true' or 'false' for
 a bool in both formats.  In CSV it is '%.17g' % v for a float or int v and
 the UTF-8 bytes of str(v) for anything else.  In JSON it is repr(v) for a
 float v (the shortest text that reads back as v), null for NaN, and
-json.dumps(v) for an int, a string or anything else.  `lines(fields)` joins
-the cells of one block into CSV lines, and with other separators into JSON
-rows.
+json.dumps(v) for an int, a string or anything else.  `lines(fields, seps,
+end)` joins the cells of one block into rows.
 
 A float's 17 digits are round-half-even(|x| * 10**(16 - k)) with k its
 decimal exponent.  The product is taken in double-double arithmetic (Dekker,
@@ -280,16 +281,38 @@ def _laid_out(x: np.ndarray, digits: np.ndarray, k: np.ndarray, unsure: np.ndarr
     return out
 
 
+def _csv_frame(header: list[str], comments: list[str], rows: int) -> tuple:
+    """CSV's frame, as every frame: the text before the first row and after
+    the last, the bytes before each field (the first one's led by the bytes
+    between rows), the row end and the bytes between rows."""
+    head = "".join(f"# {line}\n" for line in comments) + ",".join(header) + "\n"
+    return head, "", [b""] + [b","] * (len(header) - 1), b"\n", b""
+
+
+def _json_frame(header: list[str], comments: list[str], rows: int) -> tuple:
+    """JSON's frame: a "rows" list of objects, then the comments as a
+    "metadata" list, laid out as json.dumps(indent=1) would."""
+    payload = {"rows": [], "metadata": comments} if comments else {"rows": []}
+    head, _, tail = json.dumps(payload, indent=1).partition("[]")  # the rows, the first key
+    head += "[\n" if rows else "[]"
+    tail = ("\n ]" if rows else "") + tail + "\n"
+    seps = [f",\n   {json.dumps(name)}: ".encode() for name in header]
+    seps[0] = b",\n  {" + seps[0][1:]  # each row opens its object
+    return head, tail, seps, b"\n  }", b",\n"
+
+
 # By format: the dtype kinds formatted as numbers, their digit routine, layout
-# classes, masks and NaN cell, the fallback for unsure values, and the text of
-# values that are neither numbers nor bools.  repr's layout is fixed for
-# -4 <= k <= 15, with ".0" on an integral value, and d.ddde+XX otherwise.
+# classes, masks and NaN cell, the fallback for unsure values, the text of
+# values that are neither numbers nor bools, and the frame.  repr's layout is
+# fixed for -4 <= k <= 15, with ".0" on an integral value, and d.ddde+XX
+# otherwise.
 _FORMATS = {
     "csv": ("fiu", _digits, _classes(16), _mask_table(),
-            np.frombuffer(b"nan".ljust(_WIDTH, b"\0"), np.uint8), b"%.17g".__mod__, str),
+            np.frombuffer(b"nan".ljust(_WIDTH, b"\0"), np.uint8), b"%.17g".__mod__, str,
+            _csv_frame),
     "json": ("f", _shortest, _classes(15), _mask_table(point_zero=True),
              np.frombuffer(b"null".ljust(_WIDTH, b"\0"), np.uint8),
-             lambda v: repr(v).encode(), json.dumps),
+             lambda v: repr(v).encode(), json.dumps, _json_frame),
 }
 
 
@@ -297,7 +320,7 @@ def cells(columns: list[np.ndarray], fmt: str) -> list[np.ndarray]:
     """The text of each value of each 1-D array in format fmt, "csv" or
     "json", one NUL-padded uint8 row per value.  The numbers of all columns
     are formatted together, as float64."""
-    numbers, digits, classes, masks, nan, fallback, text = _FORMATS[fmt]
+    numbers, digits, classes, masks, nan, fallback, text, _ = _FORMATS[fmt]
     numeric = [c.dtype.kind in numbers for c in columns]
     if any(numeric):
         x = np.concatenate([c for c, n in zip(columns, numeric) if n])
@@ -316,7 +339,7 @@ def cells(columns: list[np.ndarray], fmt: str) -> list[np.ndarray]:
     return out
 
 
-def packed(cells: np.ndarray) -> np.ndarray:
+def _packed(cells: np.ndarray) -> np.ndarray:
     """The same cells with each row's NULs moved to its end, less the
     columns that are then NUL in every row."""
     order = np.argsort(cells == 0, axis=1, kind="stable")
@@ -324,13 +347,9 @@ def packed(cells: np.ndarray) -> np.ndarray:
     return np.take_along_axis(cells, order[:, :width], axis=1)
 
 
-def lines(fields: list[np.ndarray], seps: list[bytes] | None = None,
-          end: bytes = b"\n") -> str:
+def lines(fields: list[np.ndarray], seps: list[bytes], end: bytes) -> str:
     """The text of one block: for each row i, row i of each field's cells,
-    each after its separator in seps, and then end.  By default, CSV lines:
-    the cells joined by commas, each line ended by a newline."""
-    if seps is None:
-        seps = [b""] + [b","] * (len(fields) - 1)
+    each after its separator in seps, and then end."""
     width = sum(len(sep) + f.shape[1] for sep, f in zip(seps, fields)) + len(end)
     canvas = np.empty((len(fields[0]), width), np.uint8)
     at = 0
@@ -341,3 +360,34 @@ def lines(fields: list[np.ndarray], seps: list[bytes] | None = None,
         at += f.shape[1]
     canvas[:, at:] = np.frombuffer(end, np.uint8)
     return canvas.tobytes().translate(None, b"\0").decode()
+
+
+# Most fields that document formats at a time, in either format.
+_BLOCK_FIELDS = 4096
+
+
+def document(fmt: str, header: list[str], columns: list[np.ndarray],
+             comments: list[str] | None = None, axes: tuple = ()):
+    """The text of a document in format fmt, in pieces: the head, each
+    block of rows, then the tail.  `columns` are 1-D arrays of numbers,
+    bools or strings, one value per row; `axes` is empty or the outer and
+    inner axis of a grid, whose values i and j lead row i * len(axes[1]) + j.
+    A block is at most _BLOCK_FIELDS fields, so memory does not grow with
+    the output; each axis value is formatted once and gathered into them."""
+    rows = len(columns[0])
+    head, tail, seps, end, between = _FORMATS[fmt][-1](header, comments or [], rows)
+    yield head
+    size = max(1, _BLOCK_FIELDS // (len(axes) + len(columns)))
+    axis_cells = [_packed(c) for c in cells(list(axes), fmt)]
+
+    def block(start):  # a function: its cells are freed before the next block's are made
+        fields = cells([c[start:start + size] for c in columns], fmt)
+        if axes:
+            point = np.arange(start, min(start + size, rows))
+            fields[:0] = [np.take(axis_cells[0], point // len(axes[1]), axis=0),
+                          np.take(axis_cells[1], point % len(axes[1]), axis=0)]
+        return lines(fields, seps, end)
+
+    for start in range(0, rows, size):
+        yield block(start)[len(between) if start == 0 else 0:]
+    yield tail

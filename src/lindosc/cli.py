@@ -209,7 +209,11 @@ def _output(cfg: dict, args) -> tuple[str, str | None]:
     path = _get(cfg, "output.path", None, str)
     fmt = getattr(args, "format", None) or fmt
     path = getattr(args, "out", None) or path
-    if fmt not in ("csv", "json"):
+    # Imported lazily, as _text's tables cost about 1 MB and 5 ms that the
+    # library API need not pay, but before any propagation, so that they lie
+    # below a command's arrays in the heap rather than among them.
+    from . import _text
+    if fmt not in _text._FORMATS:
         raise ConfigError(f"output.format must be 'csv' or 'json', got {fmt!r}")
     return fmt, path
 
@@ -223,79 +227,25 @@ def _window(cfg: dict, osc: OscillatorSpec, args) -> CoherentWindow:
     return CoherentWindow.squeezed(s_qq, hbar=osc.hbar)
 
 
-# Most fields that _emit writes at a time, in either format.
-_BLOCK_FIELDS = 4096
-
-
 def _emit(output: tuple[str, str | None], header: list[str], columns: list,
           comments: list[str] | None = None, axes: tuple = ()) -> None:
     """Write one row per point, one field per header entry, in the format
-    and to the path of `output`, as _output resolves them.
-
-    `axes` is empty or two numpy arrays, the outer and inner axis of a grid;
-    they give the first two fields of each row and `columns` the rest.
-    Columns are numpy arrays or lists of numbers, bools or strings with one
-    value per row; a 2-D array is read in row-major order, so point (i, j)
-    of a grid is index i * len(axes[1]) + j.  A float column holding +-inf
-    raises ConsistencyError.  CSV prints numbers as '%.17g' does and bools
-    as true/false.  JSON prints floats as repr does, NaN as null, and lays
-    the rows out as json.dumps(indent=1) would.
-
-    Every check runs before the first byte is written.  The rows are then
-    formatted one block at a time, so memory does not grow with the output:
-    a block is at most _BLOCK_FIELDS fields in either format.  _text makes
-    the cells of a block in numpy and joins them into one byte canvas, each
-    cell after its field's constant separator (a comma, or the JSON key),
-    each row ended by the row's end.  Each axis value is formatted once and
-    gathered into the blocks.
-    """
+    and to the path of `output`, as _output resolves them.  `_text.document`
+    makes the text; `columns` and `axes` are as it takes them, but a column
+    may also be a list, or a 2-D array read in row-major order.  A float
+    column holding +-inf raises ConsistencyError; every check runs before
+    the first byte is written."""
+    from . import _text  # lazily, as in _output
     fmt, path = output
     columns = [np.ravel(c) for c in columns]
     for name, c in zip(header, [*axes, *columns]):
         if c.dtype.kind == "f" and np.isinf(c).any():
             raise ConsistencyError(f"output column {name} holds an infinite value")
-    n_rows = len(columns[0])
-    # Imported here: _text's tables cost about 1 MB and 5 ms, which the
-    # library API need not pay.
-    from . import _text
-
-    if fmt == "csv":
-        head = "".join(f"# {line}\n" for line in comments or []) + ",".join(header) + "\n"
-        tail = sep = ""
-        seps, end = None, b"\n"
-    else:
-        payload = {"rows": []}
-        if comments:
-            payload["metadata"] = comments
-        dumped = json.dumps(payload, indent=1, allow_nan=False) + "\n"
-        head, _, tail = dumped.partition("[]")  # the rows, the first key
-        head += "[\n" if n_rows else "[]"
-        tail = ("\n ]" if n_rows else "") + tail
-        sep = ",\n"
-        seps, end = [f",\n   {json.dumps(name)}: ".encode() for name in header], b"\n  }"
-        seps[0] = b",\n  {" + seps[0][1:]  # each row opens its object
-    size = max(1, _BLOCK_FIELDS // (len(axes) + len(columns)))
-    axis_cells = [_text.packed(cells) for cells in _text.cells(list(axes), fmt)]
-
-    def block(k):
-        """The text of block k, with the separator from the block before."""
-        start = k * size
-        fields = _text.cells([c[start:start + size] for c in columns], fmt)
-        if axes:
-            outer, inner = axis_cells
-            point = np.arange(start, min(start + size, n_rows))
-            fields[:0] = [np.take(outer, point // len(inner), axis=0),
-                          np.take(inner, point % len(inner), axis=0)]
-        text = _text.lines(fields, seps, end)
-        return text if k else text[len(sep):]
-
     try:
         with (open(path, "w", encoding="utf-8", newline="") if path
               else contextlib.nullcontext(sys.stdout)) as out:
-            out.write(head)
-            for k in range(-(-n_rows // size)):
-                out.write(block(k))
-            out.write(tail)
+            for text in _text.document(fmt, header, columns, comments, axes):
+                out.write(text)
     except OSError as exc:
         if not path:  # an error of stdout itself, a closed pipe say, passes through
             raise

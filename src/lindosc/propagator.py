@@ -153,20 +153,23 @@ def steady_covariances(osc: OscillatorSpec, diff: DiffusionSpec) -> np.ndarray:
             + diff.d_pp
             + 2 * m * (lam + mu) * diff.d_pq
         ) / (m**2 * d)
+        s_pp = (
+            (m * om) ** 2 * om**2 * diff.d_qq
+            + (2 * lam * (lam - mu) + om**2) * diff.d_pp
+            - 2 * m * om**2 * (lam - mu) * diff.d_pq
+        ) / d
+        s_pq = (
+            -(lam + mu) * (m * om) ** 2 * diff.d_qq
+            + (lam - mu) * diff.d_pp
+            + 2 * m * (lam**2 - mu**2) * diff.d_pq
+        ) / (m * d)
     except ZeroDivisionError:
         raise range_error(ZeroDivisionError,
                           "steady-state denominator m**2 * 2*lam*(lam**2 + omega**2 - mu**2)",
                           m=m, omega=om, lam=lam, mu=mu) from None
-    s_pp = (
-        (m * om) ** 2 * om**2 * diff.d_qq
-        + (2 * lam * (lam - mu) + om**2) * diff.d_pp
-        - 2 * m * om**2 * (lam - mu) * diff.d_pq
-    ) / d
-    s_pq = (
-        -(lam + mu) * (m * om) ** 2 * diff.d_qq
-        + (lam - mu) * diff.d_pp
-        + 2 * m * (lam**2 - mu**2) * diff.d_pq
-    ) / (m * d)
+    except OverflowError:  # m**2 or (m*omega)**2
+        raise range_error(OverflowError, "steady-state covariances s_qq, s_pp, s_pq",
+                          m=m, omega=om, lam=lam, mu=mu) from None
     mw = m * om
     explicit = np.array([mw * s_qq, s_pp / mw, s_pq])
 

@@ -21,6 +21,7 @@ from lindosc import (
     ConsistencyError,
     InvalidStateError,
     OscillatorSpec,
+    _text,
     cli,
     entropy,
     model,
@@ -67,7 +68,7 @@ def gibbs_config(**over):
 
 def _block_rows(n_fields: int) -> int:
     """The rows of one output block of a table of n_fields fields."""
-    return cli._BLOCK_FIELDS // n_fields
+    return _text._BLOCK_FIELDS // n_fields
 
 
 def _evolve_config(tmp_path):
@@ -125,13 +126,15 @@ def test_readme_cli_example_runs(tmp_path, capsys):
 
 def test_cli_import_loads_no_third_party_module_but_numpy():
     """The runtime stays numpy-only.  Modules that site hooks load at
-    interpreter start are in sys.modules before the import, so not counted."""
+    interpreter start are in sys.modules before the import, so not counted.
+    The output formatter, whose tables cost about 1 MB and 5 ms, loads only
+    when a command writes output."""
     code = ("import sys; before = set(sys.modules); import lindosc.cli; "
             "print(sorted({name.partition('.')[0] for name in set(sys.modules) - before}"
-            " - sys.stdlib_module_names))")
+            " - sys.stdlib_module_names)); print('lindosc._text' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "['lindosc', 'numpy']\n"
+    assert proc.stdout == "['lindosc', 'numpy']\nFalse\n"
 
 
 def test_validate_pass(tmp_path):
@@ -908,7 +911,7 @@ def test_every_block_holds_at_most_block_fields(monkeypatch, fmt):
         # Each row ends with a newline in CSV and closes its object in JSON.
         block_rows = [text.count("\n" if fmt == "csv" else "}") for text in writes[1:-1]]
         assert sum(block_rows) == n_rows and len(block_rows) >= 3
-        assert max(block_rows) * len(header) <= cli._BLOCK_FIELDS
+        assert max(block_rows) * len(header) <= _text._BLOCK_FIELDS
 
 
 class _FailingSink:
@@ -1163,7 +1166,8 @@ def test_each_malformed_block_names_its_key(tmp_path, capsys, no_propagation, bl
 # divides by tanh of an underflowed hbar*omega/2kT, (d) the determinant squares
 # sigma_pq, (e) the steady state divides by an underflowed denominator, (f) the
 # determinant margin's d_pp * d_qq overflows to +inf, and (g) the batch moments
-# divide by m*omega = 1e-300, and the determinant squares the sigma_pq beside.
+# divide by m*omega = 1e-300, and the determinant squares the sigma_pq beside,
+# and (h) the steady state squares m = 1e300.
 FLOAT_RANGE_CASES = {
     "a-friction": (gibbs_config(oscillator={"omega": 1.0, "lambda": 1.4e156},
                                 diffusion={"d_qq": 0.0, "d_pp": 0.0}), COMMANDS_WITH_CONFIG,
@@ -1191,6 +1195,12 @@ FLOAT_RANGE_CASES = {
                              diffusion={"d_qq": 1.0, "d_pp": 1.0},
                              times={"t_start": 0.0, "t_end": 5.0, "n_samples": 3}),
                 ["evolve", "purity-scan"], "sigma_pq**2 with sigma_pq=3.581689072683869e+299"),
+    "h-steady-mass": (gibbs_config(oscillator={"m": 1e300, "omega": 1.0, "lambda": 0.5},
+                                   diffusion={"d_qq": 1.0, "d_pp": 1.0},
+                                   times={"t_start": 0.0, "t_end": 5.0, "n_samples": 3}),
+                      ["evolve", "steady", "purity-scan"],
+                      "steady-state covariances s_qq, s_pp, s_pq with m=1e+300, omega=1.0, "
+                      "lam=0.5, mu=0.0"),
 }
 
 

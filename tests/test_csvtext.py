@@ -12,7 +12,7 @@ def assert_exact(x: np.ndarray) -> None:
     """Every value of x formats as '%.17g' % v, one 2**16-value call at a time."""
     for start in range(0, len(x), 2**16):
         chunk = x[start:start + 2**16]
-        got = _text.lines(_text.cells([chunk], "csv")).splitlines()
+        got = _text.lines(_text.cells([chunk], "csv"), [b""], b"\n").splitlines()
         want = ["%.17g" % v for v in chunk.tolist()]
         wrong = [(v.hex(), g, w) for v, g, w in zip(chunk.tolist(), got, want) if g != w]
         assert (len(got), wrong[:5]) == (len(chunk), [])
@@ -50,10 +50,19 @@ def test_ties_and_integers():
     assert not _text._digits(x)[2].any()
 
 
+def test_layout_boundaries():
+    """The last and first values of the fixed form, on both sides, of repr's
+    layout and of '%.17g''s, whose fixed form reaches one digit further."""
+    x = np.array([1e16, 9999999999999998.0, 1e15, 123456789012345.6, 1e-4, 1e-5,
+                  0.00010000000000000002, 123.0, 0.0, 1e22, 1e100, 1e-100, 5e-324,
+                  1e17, 99999999999999984.0])
+    assert_exact(np.concatenate([x, -x]))
+
+
 @pytest.mark.parametrize("column,want", [
     (np.array([True, False]), ["true", "false"]),
     (np.array([0, -2, 2**53 + 1]), ["0", "-2", "9007199254740992"]),
     (np.array(["inf", 'a"b%s', "é☃", ""]), ["inf", 'a"b%s', "é☃", ""]),
 ])
 def test_other_cells(column, want):
-    assert _text.lines(_text.cells([column], "csv")).splitlines() == want
+    assert _text.lines(_text.cells([column], "csv"), [b""], b"\n").splitlines() == want

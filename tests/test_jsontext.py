@@ -15,7 +15,7 @@ def assert_exact(x: np.ndarray) -> None:
     call at a time."""
     for start in range(0, len(x), 2**16):
         chunk = x[start:start + 2**16]
-        got = _text.lines(_text.cells([chunk], "json")).splitlines()
+        got = _text.lines(_text.cells([chunk], "json"), [b""], b"\n").splitlines()
         want = ["null" if v != v else repr(v) for v in chunk.tolist()]
         wrong = [(v.hex(), g, w) for v, g, w in zip(chunk.tolist(), got, want) if g != w]
         assert (len(got), wrong[:5]) == (len(chunk), [])
@@ -63,7 +63,7 @@ def test_layout_boundaries():
     (np.array(["inf", 'a"b%s', "é☃", ""]), ['"inf"', '"a\\"b%s"', '"\\u00e9\\u2603"', '""']),
 ])
 def test_other_cells(column, want):
-    assert _text.lines(_text.cells([column], "json")).splitlines() == want
+    assert _text.lines(_text.cells([column], "json"), [b""], b"\n").splitlines() == want
 
 
 BASELINE = {
