@@ -32,6 +32,7 @@ from lindosc import (
 )
 from lindosc.entropy import von_neumann_entropy
 from lindosc.sweeps import random_diffusion, random_oscillator, random_state
+from test_text import GRID_SHAPES, _block_rows, _grid_case
 
 
 # The child runs in development mode with ResourceWarning as an error, as the
@@ -64,11 +65,6 @@ def gibbs_config(**over):
     }
     cfg.update(over)
     return cfg
-
-
-def _block_rows(n_fields: int) -> int:
-    """The rows of one output block of a table of n_fields fields."""
-    return _text._BLOCK_FIELDS // n_fields
 
 
 def _evolve_config(tmp_path):
@@ -549,6 +545,14 @@ BAD_INPUTS = {
         gibbs_config(initial_state={"kind": "ccs", "eta": "1", "r": 0.0}),
         "initial_state.eta", "csv",
     ),
+    "ccs-eta-zero": (
+        gibbs_config(initial_state={"kind": "ccs", "eta": 0.0, "r": 0.0}),
+        "eta must be > 0, got 0.0", "csv",
+    ),
+    "ccs-r-one": (
+        gibbs_config(initial_state={"kind": "ccs", "eta": 1.0, "r": 1.0}),
+        "|r| must be < 1, got 1.0", "json",
+    ),
     "explicit-sigma-qq-text": (
         gibbs_config(initial_state={"sigma_q": 0.0, "sigma_p": 0.0, "sigma_qq": "1",
                                     "sigma_pp": 1.0, "sigma_pq": 0.0}),
@@ -560,6 +564,7 @@ BAD_INPUTS = {
     ),
     "window-not-object": (gibbs_config(window=5), "window must be an object", "csv"),
     "output-not-object": (gibbs_config(output=5), "output must be an object", "json"),
+    "root-not-object": ([], "config root must be a JSON object", "csv"),
 }
 
 
@@ -759,140 +764,6 @@ def test_emit_axes_match_expanded_columns(capsys, fmt):
         expanded = [np.repeat(axes[0], n_p), np.tile(axes[1], n_q), *map(np.ravel, columns)]
         cli._emit(output, header, expanded, ["measure=test"])
         assert with_axes == capsys.readouterr().out
-
-
-# Grids of 1, B, B + 1 and 2B + 1 points, B = _block_rows(4) = 1024 for the
-# fields q, p, value and flag, so that they end on and just past a block
-# boundary.
-GRID_SHAPES = ((1, 1), (4, _block_rows(4) // 4), (25, 41), (3, 683))
-
-
-def _grid_case(n_q: int, n_p: int) -> tuple:
-    """The value and flag columns and the axes of an n_q x n_p test grid."""
-    q, p = np.linspace(-1.0, 1.0, n_q) / 3, np.linspace(-2.0, 5.0, n_p) / 7
-    values = np.cos(np.add.outer(q, p) * 9)
-    values[-1, 0] = math.nan
-    return [values, values > 0], (q, p)
-
-
-def _json_reference(header, columns, comments, axes):
-    """What json.dumps writes for the rows and metadata _emit is given."""
-    points = [g.ravel().tolist() for g in np.meshgrid(*axes, indexing="ij")]
-    values = points + [np.ravel(c).tolist() for c in columns]
-    rows = [
-        {name: None if isinstance(v, float) and math.isnan(v) else v
-         for name, v in zip(header, row)}
-        for row in zip(*values)
-    ]
-    payload = {"rows": rows}
-    if comments:
-        payload["metadata"] = comments
-    return json.dumps(payload, indent=1, allow_nan=False) + "\n"
-
-
-JSON_CASES = {
-    "no-rows": (["t", "x"], [[], []], None, ()),
-    "no-rows-metadata": (["t"], [[]], ["measure=dqdp", "note"], ()),
-    "bool-string-int-nan": (
-        ["t", "flag", "name", "count", "value"],
-        [[0.0, 0.5, 1e-300], [True, False, True], ["inf", 'a"b%s', "\u00e9"],
-         [1, -2, 3], [math.nan, -0.0, 2.0 / 3.0]],
-        None, (),
-    ),
-    "grid-metadata": (
-        ["q", "p", "value"], [np.arange(6.0).reshape(2, 3) / 7], ["measure=dqdp"],
-        (np.array([-1.0, 0.1]), np.array([0.0, 1e-5, 7.0])),
-    ),
-}
-
-
-def _table_case(rows: int, fields: int = 4) -> tuple:
-    """The first `fields` of a float, bool, NaN-holding and int table of
-    `rows` rows."""
-    t = np.arange(rows) / 7
-    value = np.where(np.arange(rows) % 5 == 4, math.nan, -t)
-    header = ["t", "flag", "value", "count"][:fields]
-    columns = [t, t > 0.5, value, np.arange(rows) - rows // 2][:fields]
-    return header, columns, ["measure=dqdp"] if rows > 1 else None, ()
-
-
-# Tables of four fields that end on and just past a block boundary.
-JSON_CASES.update({
-    f"{rows}-rows": _table_case(rows)
-    for rows in (1, _block_rows(4), _block_rows(4) + 1, 2 * _block_rows(4) + 1)
-})
-# Non-ASCII text over three blocks.
-JSON_CASES["3-blocks-non-ascii"] = (
-    ["t", "name"],
-    [np.arange(2 * _block_rows(2) + 1) / 7,
-     [f"\u00e9{k}\u2603" for k in range(2 * _block_rows(2) + 1)]],
-    None, (),
-)
-# Header names holding %, which go into the separators of each row as they are.
-JSON_CASES["percent-header"] = (["100%", "a%%b%s"], [[0.5, math.nan], [1, 2]], None, ())
-# Floats on each side of every boundary of repr's layout, on grid axes and
-# in a column mixed with bools, strings and NaN.
-JSON_CASES["layout-boundaries"] = (
-    ["q", "p", "value", "flag", "name"],
-    [[1e-4, math.nan, -0.0, 123.0, 1e16, 1e-5], [True, False] * 3, list("abcdef")],
-    None,
-    (np.array([1e16, 9999999999999998.0]), np.array([1e-4, 1e-5, -0.0])),
-)
-# A grid whose blocks of B points end in the middle of an outer-axis row.
-JSON_CASES.update({"grid-3x683": (["q", "p", "value", "flag"], columns, ["measure=test"], axes)
-                   for columns, axes in [_grid_case(3, 683)]})
-
-
-@pytest.mark.parametrize("case", JSON_CASES)
-def test_emit_json_matches_json_dumps(capsys, case):
-    header, columns, comments, axes = JSON_CASES[case]
-    output = ("json", None)
-    cli._emit(output, header, columns, comments, axes=axes)
-    assert capsys.readouterr().out == _json_reference(header, columns, comments, axes)
-
-
-def _csv_reference(header, columns, comments, axes):
-    """What _emit writes as CSV, value by value: '%.17g' % v for numbers,
-    true or false for bools and str(v) for anything else."""
-    def text(v):
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        return "%.17g" % v if isinstance(v, (int, float)) else str(v)
-
-    points = [g.ravel().tolist() for g in np.meshgrid(*axes, indexing="ij")]
-    values = points + [np.ravel(c).tolist() for c in columns]
-    lines = [f"# {line}" for line in comments or []] + [",".join(header)]
-    return "".join(f"{line}\n" for line in lines + [",".join(map(text, row))
-                                                   for row in zip(*values)])
-
-
-def _mixed_case(rows: int) -> tuple:
-    """Float, bool, string, int and NaN-holding columns of `rows` rows."""
-    k = np.arange(rows)
-    names = [f'a"b%s\u00e9{i}\u2603' for i in k.tolist()]
-    value = np.where(k % 5 == 4, math.nan, -k / 3.0)
-    return ["t", "flag", "name", "count", "value"], [k / 7, k % 3 == 0, names, k - rows // 2,
-                                                      value], None, ()
-
-
-# The JSON cases, the test grids, and tables of three and five fields that
-# end on and just past a block boundary.
-CSV_CASES = {
-    **JSON_CASES,
-    **{f"grid-{n_q}x{n_p}": (["q", "p", "value", "flag"], columns, ["measure=test"], axes)
-       for n_q, n_p in GRID_SHAPES for columns, axes in [_grid_case(n_q, n_p)]},
-    **{f"{rows}-rows-csv": _table_case(rows, 3)
-       for rows in (_block_rows(3), _block_rows(3) + 1)},
-    **{f"{rows}-rows-mixed": _mixed_case(rows)
-       for rows in (1, _block_rows(5), 2 * _block_rows(5) + 1)},
-}
-
-
-@pytest.mark.parametrize("case", CSV_CASES)
-def test_emit_csv_matches_per_value_reference(capsys, case):
-    header, columns, comments, axes = CSV_CASES[case]
-    cli._emit(("csv", None), header, columns, comments, axes=axes)
-    assert capsys.readouterr().out == _csv_reference(header, columns, comments, axes)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -163,6 +163,11 @@ def test_coefficients_brownian_single_op():
     assert abs(margin) < 1e-14 * diff.d_pp * diff.d_qq
 
 
+def test_pure_state_op_undefined_without_friction():
+    with pytest.raises(ParameterError, match="^pure-state operator undefined for lam = 0$"):
+        pure_state_op(OscillatorSpec(1.0, 1.0, 0.0))
+
+
 def test_coefficients_pure_state_op_roundtrip():
     osc = OscillatorSpec(mass=1.3, omega=1.1, lam=0.2, mu=0.3)
     ops = pure_state_op(osc)
